@@ -14,6 +14,7 @@ import (
 )
 
 func BenchmarkHotSingleCell(b *testing.B)            { benchhot.SingleCell(b) }
+func BenchmarkHotRun256(b *testing.B)                { benchhot.Run256(b) }
 func BenchmarkHotFig62Sweep(b *testing.B)            { benchhot.Fig62Sweep(b) }
 func BenchmarkHotServicePath(b *testing.B)           { benchhot.ServicePath(b) }
 func BenchmarkHotCampaignTrial(b *testing.B)         { benchhot.CampaignTrial(b) }

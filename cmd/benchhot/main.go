@@ -66,8 +66,7 @@ var benches = []struct {
 	{"CampaignTrialParallel", benchhot.CampaignTrialParallel, true},
 	{"ShardedSingleCell", benchhot.ShardedSingleCell, false},
 	{"ShardedSingleCellParallel", benchhot.ShardedSingleCellParallel, true},
-	{"ShardedRun", benchhot.ShardedRun, false},
-	{"ShardedRunParallel", benchhot.ShardedRunParallel, true},
+	{"Run256", benchhot.Run256, false},
 	{"Fig62SweepSharded", benchhot.Fig62SweepSharded, false},
 }
 
@@ -319,10 +318,6 @@ var scalingPairs = []struct {
 	// The sharded state plane: snapshot/restore of a 256-proc machine
 	// must scale across per-proc/per-shard tasks (machine.parallelDo).
 	{"ShardedSingleCell", "ShardedSingleCellParallel", 1.8, false},
-	// The event plane: simulating ONE 256-proc machine must scale
-	// across per-shard event heaps (sim.ShardedEngine epochs), not just
-	// across independent trials or snapshot tasks.
-	{"ShardedRun", "ShardedRunParallel", 1.8, false},
 }
 
 // checkScaling applies every scalingPairs gate present in fresh. On a

@@ -12,6 +12,8 @@
 //     of the workload-gen -> cache -> directory -> signature -> log
 //     pipeline and allocs/op is its steady-state allocation rate (the
 //     0-allocs/op contract).
+//   - Run256: the same per-instruction cost on a 256-processor,
+//     8-shard null-scheme machine (also 0 allocs/op).
 //   - Fig62Sweep: the full Figure 6.2 sweep (26 cells) on a fresh
 //     runner each iteration — the figure-driver throughput a user sees.
 //   - ServicePath: the reboundd HTTP service answering a POST /v1/runs
@@ -283,64 +285,30 @@ func ShardedSingleCellParallel(b *testing.B) {
 	shardedCellBody(b)
 }
 
-// EventPlaneCellConfig is the machine the event-plane benchmarks run: a
-// 256-processor cell under the null scheme with its state in 8
-// partitions, executing on sim.ShardedEngine (Config.EventPlane) — the
-// coherence protocol as latency-bounded message legs between per-shard
-// event heaps instead of synchronous directory walks.
-func EventPlaneCellConfig() machine.Config {
-	cfg := machine.DefaultConfig(256)
-	cfg.Shards = 8
-	cfg.EventPlane = true
-	return cfg
-}
-
-// epCell holds the warmed event-plane machine shared by ShardedRun and
-// ShardedRunParallel. Sharing is safe for the same reason as
-// shardedCell: the machine's trajectory is deterministic and the two
-// benchmarks differ only in executor parallelism, which is
-// byte-identical by construction (machine/eventplane.go), so both
-// variants measure the same per-instruction work.
-var epCell struct {
+// run256 holds the warmed Run256 machine. testing.Benchmark calls the
+// body several times with growing b.N; each call continues the same
+// deterministic run, so the warmup is paid once per process.
+var run256 struct {
 	once sync.Once
 	m    *machine.Machine
 }
 
-func epCellInit() {
-	m := machine.New(EventPlaneCellConfig(), workload.ByName("FFT"), machine.NullScheme{})
-	m.Run(256 * 2_000) // warm caches, directory and DRAM state
-	epCell.m = m
-}
-
-// shardedRunBody is the shared measured region: each op is one
-// committed instruction of the event-plane machine, so ns/op is the
-// per-instruction cost of epoch-parallel execution (compare SingleCell
-// for the sequential pipeline).
-func shardedRunBody(b *testing.B, parallel bool) {
-	epCell.once.Do(epCellInit)
-	m := epCell.m
-	m.SetEventPlaneParallel(parallel)
+// Run256 measures the per-instruction cost of a large machine: each op
+// is one committed instruction of a 256-proc FFT machine under the null
+// scheme with its state in 8 partitions, on the sequential sim.Engine
+// (compare SingleCell, a 16-proc Rebound cell).
+func Run256(b *testing.B) {
+	run256.once.Do(func() {
+		cfg := machine.DefaultConfig(256)
+		cfg.Shards = 8
+		m := machine.New(cfg, workload.ByName("FFT"), machine.NullScheme{})
+		m.Run(256 * 2_000) // warm caches, directory and DRAM state
+		run256.m = m
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	m.Run(uint64(b.N))
+	run256.m.Run(uint64(b.N))
 	b.StopTimer()
-}
-
-// ShardedRun measures event-plane execution with epochs run
-// sequentially, shard by shard (the serial reference row; CI records it
-// at GOMAXPROCS=1).
-func ShardedRun(b *testing.B) { shardedRunBody(b, false) }
-
-// ShardedRunParallel is the same machine with a goroutine per shard
-// inside each epoch, at GOMAXPROCS=NumCPU. cmd/benchhot gates this row
-// at >=1.8x ShardedRun on runners with >=4 cores — the tentpole claim
-// that one machine's simulation now scales across cores (no alloc
-// parity: the epoch barrier costs a few pool objects per epoch that the
-// serial path skips).
-func ShardedRunParallel(b *testing.B) {
-	prev := runtime.GOMAXPROCS(runtime.NumCPU())
-	defer runtime.GOMAXPROCS(prev)
-	shardedRunBody(b, true)
 }
 
 // Fig62SweepSharded is Fig62Sweep with every cell's machine state

@@ -21,32 +21,12 @@
 // byte-identical at every shard count and every GOMAXPROCS, a contract
 // the equivalence suite (sharded_equiv_test.go) enforces under -race.
 //
-// What sharding buys first is the state plane: Snapshot, Restore and
-// Fork decompose into disjoint per-processor and per-shard tasks
-// fanned across GOMAXPROCS workers (shardexec.go). Event execution on
-// the default sequential sim.Engine is untouched, because the
+// What sharding buys is the state plane: Snapshot, Restore and Fork
+// decompose into disjoint per-processor and per-shard tasks fanned
+// across GOMAXPROCS workers (shardexec.go). Event execution stays on
+// the one sequential sim.Engine for every scheme, because the
 // functional coherence protocol mutates cross-processor state
 // synchronously inside events.
-//
-// # Event plane
-//
-// Config.EventPlane puts the same shards on sim.ShardedEngine:
-// per-shard event heaps advancing in lookahead-bounded epochs, one
-// goroutine per shard. Directory transactions become request/probe/
-// grant/ack message legs routed to each line's home shard
-// (coherence.EventPlane), the charged network latency becomes the
-// legs' actual delivery times (clamped up to the window), and a
-// processor that misses in its L2 stalls until the grant installs the
-// line and replays the access (eventplane.go, proc.go). The event
-// plane is a different, self-consistent timing model — it is not
-// byte-compared against the sequential protocol — but its own
-// trajectory is byte-identical across shard counts, Parallel on/off
-// and GOMAXPROCS, and it supports in-memory snapshot/restore through
-// the same tagged-event mechanism (settling drains every in-flight
-// leg first, so captures never contain cross-shard messages). It is
-// restricted to the null scheme: checkpoint protocols pause, roll
-// back and message other processors synchronously, which would mutate
-// foreign shard state inside an event.
 //
 // # Snapshot formats and compatibility
 //

@@ -60,23 +60,6 @@ type Config struct {
 	// snapshot/restore parallelism is available — never what the
 	// machine computes: reports are byte-identical across shard counts.
 	Shards int
-
-	// EventPlane selects parallel event execution: the machine runs on
-	// sim.ShardedEngine with one engine per state shard, coherence
-	// transactions decomposed into latency-bounded message legs
-	// (coherence.EventPlane) and processors stalling on misses until
-	// the grant message returns. The event plane is its own timing
-	// model — modeled latencies are clamped up to the lookahead window,
-	// so results differ from the sequential functional protocol — but
-	// it is deterministic: the trajectory is byte-identical across
-	// shard counts, Parallel on/off and GOMAXPROCS. Requires the null
-	// scheme ("none"), Shards <= 8 and NProcs divisible by the shard
-	// count (see eventplane.go).
-	EventPlane bool
-	// EPWindow is the event-plane lookahead window in cycles (minimum
-	// legal cross-shard message delay). 0 means the default (32); the
-	// floor is 8, the minimum topology hop latency.
-	EPWindow sim.Cycle
 }
 
 // shardCount returns the canonical shard count of c (0 ≡ 1).
@@ -160,11 +143,6 @@ type Machine struct {
 	Procs  []*Proc
 	Scheme Scheme
 
-	// ep is the event-plane runtime (nil for the historical sequential
-	// machine): sharded engines, per-shard stats/DRAM/log partitions
-	// and the message-leg coherence plane. See eventplane.go.
-	ep *epState
-
 	// prof is the workload the processors stream from, retained so
 	// Reset can rebuild the streams in place.
 	prof *workload.Profile
@@ -227,12 +205,6 @@ func NewIn(arena *cache.Arena, cfg Config, prof *workload.Profile, scheme Scheme
 	tp := topo.New(cfg.NProcs)
 	sharding := mem.NewSharding(cfg.shardCount())
 	tab := mem.NewLineTable()
-	if cfg.EventPlane {
-		// Event-plane shards intern their own hash partitions without
-		// coordination (mem.NewLineTableSharded); the flat arrays
-		// everything else indexes are sharded either way.
-		tab = mem.NewLineTableSharded(sharding)
-	}
 	memory := mem.NewMemorySharded(tab, sharding)
 	dram := mem.NewDRAM(eng, st, cfg.MemChannels)
 	log := mem.NewLogSharded(st, cfg.LogBanks, tab, sharding)
@@ -247,9 +219,6 @@ func NewIn(arena *cache.Arena, cfg Config, prof *workload.Profile, scheme Scheme
 		nodes[i] = (*procNode)(p)
 	}
 	m.Dir = coherence.New(tp, st, ctrl, nodes)
-	if cfg.EventPlane {
-		m.initEP()
-	}
 	scheme.Attach(m)
 	return m
 }
@@ -259,31 +228,15 @@ func NewIn(arena *cache.Arena, cfg Config, prof *workload.Profile, scheme Scheme
 // checkpoint/rollback protocols (which the paper implements with
 // cross-processor interrupts and shared memory, §3.3.4).
 func (m *Machine) Send(from, to int, fn func()) {
-	if m.ep != nil {
-		// Scheme protocol messages capture cross-shard state in plain
-		// closures; the event plane supports only the null scheme.
-		panic("machine: Send is unavailable in event-plane mode")
-	}
 	m.St.ProtoMessages++
 	m.Eng.Schedule(m.Topo.Latency(from, to)+m.Cfg.InterruptCost, fn)
 }
 
 // After schedules fn after delay cycles (a scheme-side timer).
-func (m *Machine) After(delay sim.Cycle, fn func()) {
-	if m.ep != nil {
-		panic("machine: After is unavailable in event-plane mode")
-	}
-	m.Eng.Schedule(delay, fn)
-}
+func (m *Machine) After(delay sim.Cycle, fn func()) { m.Eng.Schedule(delay, fn) }
 
-// Now returns the current cycle: the engine clock, or the sharded
-// executor's completed-epoch frontier in event-plane mode.
-func (m *Machine) Now() sim.Cycle {
-	if m.ep != nil {
-		return m.ep.se.Now()
-	}
-	return m.Eng.Now()
-}
+// Now returns the current cycle.
+func (m *Machine) Now() sim.Cycle { return m.Eng.Now() }
 
 func (m *Machine) noteInstrs(n uint64) {
 	m.totalInstr += n
@@ -298,9 +251,6 @@ func (m *Machine) noteInstrs(n uint64) {
 // end cycle.
 func (m *Machine) Run(totalInstr uint64) sim.Cycle {
 	m.targetInstr = m.totalInstr + totalInstr
-	if m.ep != nil {
-		return m.runEP(0)
-	}
 	for _, p := range m.Procs {
 		p.kick()
 	}
@@ -313,9 +263,6 @@ func (m *Machine) Run(totalInstr uint64) sim.Cycle {
 // let recovery finish).
 func (m *Machine) RunCycles(n sim.Cycle) sim.Cycle {
 	m.targetInstr = 0
-	if m.ep != nil {
-		return m.runEP(m.ep.se.Now() + n)
-	}
 	for _, p := range m.Procs {
 		p.kick()
 	}
@@ -326,12 +273,7 @@ func (m *Machine) RunCycles(n sim.Cycle) sim.Cycle {
 
 // TotalInstructions returns the instructions committed so far
 // (including re-execution after rollbacks).
-func (m *Machine) TotalInstructions() uint64 {
-	if m.ep != nil {
-		return m.epTotal()
-	}
-	return m.totalInstr
-}
+func (m *Machine) TotalInstructions() uint64 { return m.totalInstr }
 
 // FinalizeStats folds per-processor counters (WSIG false-positive
 // accounting) into the shared stats. Call once at the end of a run.

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"repro/internal/cache"
-	"repro/internal/coherence"
 	"repro/internal/mem"
 )
 
@@ -48,80 +47,6 @@ func (n *procNode) InvalidateShared(line uint64) {
 	p := n.proc()
 	p.l2.Invalidate(line)
 	p.l1.Invalidate(line)
-}
-
-// EPProbe implements coherence.EPNode: Recall, minus the Delayed-line
-// writeback branch — delayed writebacks only exist under checkpointing
-// schemes, which the event plane does not run (it supports only the
-// null scheme), so hitting one here is a wiring bug.
-func (n *procNode) EPProbe(line uint64, invalidate bool) (mem.Word, bool, uint64, bool) {
-	p := n.proc()
-	l2 := p.l2.Peek(line)
-	if l2 == nil {
-		return mem.Word{}, false, 0, false
-	}
-	data, dirty, epoch := l2.Data, l2.Dirty, l2.Epoch
-	if l2.Delayed {
-		panic("machine: event-plane probe hit a Delayed line")
-	}
-	if invalidate {
-		p.l2.Invalidate(line)
-		p.l1.Invalidate(line)
-		return data, dirty, epoch, true
-	}
-	// Downgrade to Shared; a dirty copy reaches memory via the home
-	// shard's controller (the plane's PROBE-ACK handler logs it).
-	l2.State = cache.Shared
-	l2.Dirty = false
-	return data, dirty, epoch, true
-}
-
-// EPGrantRead implements coherence.EPNode: install the granted line
-// exactly as loadWord's miss path would have after a functional
-// Directory.Read, then resume the stalled processor, which replays the
-// access as an L2 hit. The displaced L2 victim (if any) is returned for
-// the plane to route as a WBEVICT/DROPSHARED message.
-func (n *procNode) EPGrantRead(line uint64, data mem.Word, exclusive bool) coherence.EPEvict {
-	p := n.proc()
-	p.epVictim = coherence.EPEvict{}
-	l2 := p.insertL2(line)
-	l2.State = cache.Shared
-	l2.Data = data
-	l2.Dirty = false
-	l2.Delayed = false
-	if exclusive {
-		// RDX: the processor may write silently later, so the line
-		// enters the signature now (as in loadWord).
-		l2.State = cache.Exclusive
-		p.wsigInsert(line)
-	}
-	ev := p.epVictim
-	p.epVictim = coherence.EPEvict{}
-	p.epResume(line)
-	return ev
-}
-
-// EPGrantWrite implements coherence.EPNode: install the granted line as
-// Modified with the pre-write content (the replayed store's RMW old
-// value), tagged into the current epoch's write signature, then resume
-// the stalled processor, which replays the store as a Modified hit.
-func (n *procNode) EPGrantWrite(line uint64, data mem.Word) coherence.EPEvict {
-	p := n.proc()
-	p.epVictim = coherence.EPEvict{}
-	l2 := p.l2.Lookup(line)
-	if l2 == nil {
-		l2 = p.insertL2(line)
-	}
-	l2.State = cache.Modified
-	l2.Data = data
-	l2.Dirty = true
-	l2.Delayed = false
-	l2.Epoch = p.curEpoch
-	p.wsigInsert(line)
-	ev := p.epVictim
-	p.epVictim = coherence.EPEvict{}
-	p.epResume(line)
-	return ev
 }
 
 // LastWriterCheck implements coherence.Node: the "are you the last

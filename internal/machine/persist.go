@@ -288,12 +288,6 @@ func (m *Machine) EncodeSnapshot(s *MachineSnapshot) ([]byte, error) {
 	if !s.valid {
 		return nil, fmt.Errorf("machine: encode of an empty snapshot")
 	}
-	if s.cfg.EventPlane {
-		// Event-plane snapshots carry per-shard engine heaps, stats and
-		// controller state that neither wire format models; they are
-		// in-process artifacts (campaign restore / fork) only.
-		return nil, fmt.Errorf("machine: event-plane snapshots are not persistable")
-	}
 	if !sameConfig(s.cfg, m.Cfg) {
 		return nil, fmt.Errorf("machine: encode snapshot config mismatch")
 	}
@@ -476,7 +470,7 @@ func (m *Machine) decodeSnapshotV1(data []byte) (*MachineSnapshot, error) {
 		procs:       m.decodeProcs(im.Procs),
 	}
 	one := mem.NewSharding(1)
-	s.mem.LoadFlatWords(one, im.Mem.Words)
+	s.mem.LoadFlatWords(one, im.Mem.Words, im.Mem.Nonzero)
 	wpp := (m.Cfg.NProcs + 63) / 64
 	if wpp < 1 {
 		wpp = 1
@@ -527,7 +521,7 @@ func (m *Machine) decodeSnapshotV2(data []byte) (*MachineSnapshot, error) {
 		dram:        im.DRAM,
 		procs:       m.decodeProcs(im.Procs),
 	}
-	s.mem.SetShards(im.Mem.Shards)
+	s.mem.SetShards(im.Mem.Shards, im.Mem.Nonzero)
 	if err := s.dir.SetShards(im.Dir.Owner, im.Dir.LWID, im.Dir.Sharers, im.Dir.WPP); err != nil {
 		return nil, err
 	}

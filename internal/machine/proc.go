@@ -2,11 +2,9 @@ package machine
 
 import (
 	"repro/internal/cache"
-	"repro/internal/coherence"
 	"repro/internal/dep"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -100,34 +98,10 @@ type Proc struct {
 	m  *Machine
 	id int
 
-	// st and eng are the stats and engine this processor's step loop
-	// charges and schedules on: the machine's own in the sequential
-	// model, the owning shard's partition in event-plane mode.
-	st  *stats.Stats
-	eng *sim.Engine
-	// epsh is the owning event-plane shard (nil in the sequential
-	// model; its presence selects every event-plane branch below).
-	epsh *epShard
-
 	l1, l2 *cache.Cache
 	deps   *dep.Tracker
 	stream *workload.Stream
 	rng    sim.RNG
-
-	// Event-plane miss handling: a load/store that misses issues a
-	// coherence walk and stalls (epStalled) with the op stashed
-	// (epOp/epOpValid); the grant installs the line and replays the op,
-	// with epReplayArmed/epReplayLine suppressing the replay's
-	// double-accounting. epWalkCtr numbers this processor's walks (the
-	// machine-unique message ordering base); epVictim carries the L2
-	// victim a grant install displaced back to the plane.
-	epStalled     bool
-	epOp          workload.Op
-	epOpValid     bool
-	epReplayArmed bool
-	epReplayLine  uint64
-	epWalkCtr     uint64
-	epVictim      coherence.EPEvict
 
 	micro microState
 	tick  uint64 // per-proc op counter (store-value generator)
@@ -199,8 +173,6 @@ func newProc(m *Machine, id int, prof *workload.Profile, arena *cache.Arena) *Pr
 	p := &Proc{
 		m:      m,
 		id:     id,
-		st:     m.St,
-		eng:    m.Eng,
 		l1:     cache.NewIn(arena, cfg.L1Size, cfg.L1Ways, cfg.LineBytes),
 		l2:     cache.NewIn(arena, cfg.L2Size, cfg.L2Ways, cfg.LineBytes),
 		deps:   dep.NewTracker(cfg.DepSets, cfg.WSIGBits, cfg.WSIGHashes),
@@ -251,18 +223,11 @@ func (p *Proc) InstrSinceCkpt() uint64 { return p.instrSinceCkpt }
 func (p *Proc) kick() { p.scheduleStep(0) }
 
 func (p *Proc) scheduleStep(delay sim.Cycle) {
-	if p.stepScheduled || p.paused || p.dormant || p.epStalled {
+	if p.stepScheduled || p.paused || p.dormant {
 		return
 	}
 	p.stepScheduled = true
-	if p.epsh != nil {
-		// Step events carry even keys (pid<<1): together with the odd
-		// coherence-leg keys this makes same-cycle firing order a pure
-		// function of (cycle, key), independent of the shard count.
-		p.eng.ScheduleKeyedTagged(delay, uint64(p.id)<<1, sim.Tag{Kind: tagStep, ID: int32(p.id)}, p.stepFn)
-		return
-	}
-	p.eng.ScheduleTagged(delay, sim.Tag{Kind: tagStep, ID: int32(p.id)}, p.stepFn)
+	p.m.Eng.ScheduleTagged(delay, sim.Tag{Kind: tagStep, ID: int32(p.id)}, p.stepFn)
 }
 
 func (p *Proc) step() {
@@ -278,41 +243,20 @@ func (p *Proc) step() {
 		p.microStep()
 		return
 	}
-	var op workload.Op
-	if p.epOpValid {
-		// Replaying an op whose memory access stalled on a coherence
-		// walk: the stream and tick already advanced the first time.
-		op, p.epOpValid = p.epOp, false
-	} else {
-		op = p.stream.Next()
-		p.tick++
-	}
+	op := p.stream.Next()
+	p.tick++
 	switch op.Kind {
 	case workload.Compute:
 		p.completeOp(op, sim.Cycle(op.Arg))
 	case workload.Load:
-		lat := p.load(op.Arg)
-		if p.epStalled {
-			p.epOp, p.epOpValid = op, true
-			return
-		}
-		p.completeOp(op, lat)
+		p.completeOp(op, p.load(op.Arg))
 	case workload.Store:
-		lat := p.store(op.Arg, p.storeValue())
-		if p.epStalled {
-			p.epOp, p.epOpValid = op, true
-			return
-		}
-		p.completeOp(op, lat)
+		p.completeOp(op, p.store(op.Arg, p.storeValue()))
 	case workload.Lock:
 		p.micro = microState{stage: msLockRead, op: op}
 		p.microStep()
 	case workload.Unlock:
 		lat := p.store(lockLine(op.Arg), 0)
-		if p.epStalled {
-			p.epOp, p.epOpValid = op, true
-			return
-		}
 		p.completeOp(op, lat)
 	case workload.Barrier:
 		p.micro = microState{stage: msBarLockRead, op: op}
@@ -334,9 +278,9 @@ func (p *Proc) step() {
 // check) and schedules the next step after lat cycles.
 func (p *Proc) completeOp(op workload.Op, lat sim.Cycle) {
 	n := op.Instructions()
-	p.st.Instructions[p.id] += n
+	p.m.St.Instructions[p.id] += n
 	p.instrSinceCkpt += n
-	p.noteInstrs(n)
+	p.m.noteInstrs(n)
 	if lat < 1 {
 		lat = 1
 	}
@@ -408,9 +352,6 @@ func (p *Proc) microStep() {
 	case msLockRead, msBarLockRead:
 		line := p.lockLineFor()
 		w, lat := p.loadWord(line)
-		if p.epStalled {
-			return // the grant replays this stage (micro state untouched)
-		}
 		ms.acc += lat
 		if w.Val == 0 {
 			ms.stage++
@@ -422,9 +363,6 @@ func (p *Proc) microStep() {
 	case msLockTry, msBarLockTry:
 		line := p.lockLineFor()
 		old, lat := p.rmw(line, 1)
-		if p.epStalled {
-			return
-		}
 		ms.acc += lat
 		if old.Val != 0 {
 			ms.stage-- // lost the race: back to test
@@ -439,27 +377,18 @@ func (p *Proc) microStep() {
 		p.scheduleStep(lat)
 	case msBarReadGen:
 		w, lat := p.loadWord(barFlagLine(ms.op.Arg))
-		if p.epStalled {
-			return
-		}
 		ms.gen = w.Val
 		ms.acc += lat
 		ms.stage = msBarReadCount
 		p.scheduleStep(lat)
 	case msBarReadCount:
 		w, lat := p.loadWord(barCountLine(ms.op.Arg))
-		if p.epStalled {
-			return
-		}
 		ms.count = w.Val
 		ms.acc += lat
 		ms.stage = msBarUpdate
 		p.scheduleStep(lat)
 	case msBarUpdate:
 		lat := p.store(barCountLine(ms.op.Arg), ms.count+1)
-		if p.epStalled {
-			return
-		}
 		ms.acc += lat
 		ms.last = ms.count+1 >= uint64(p.m.Cfg.NProcs)
 		p.m.Scheme.BarrierUpdate(p, ms.last)
@@ -471,9 +400,6 @@ func (p *Proc) microStep() {
 		p.scheduleStep(lat)
 	case msBarZero:
 		lat := p.store(barCountLine(ms.op.Arg), 0)
-		if p.epStalled {
-			return
-		}
 		ms.acc += lat
 		ms.stage = msBarGate
 		p.scheduleStep(lat)
@@ -494,17 +420,11 @@ func (p *Proc) microStep() {
 		})
 	case msBarSetFlag:
 		lat := p.store(barFlagLine(ms.op.Arg), ms.gen+1)
-		if p.epStalled {
-			return
-		}
 		ms.acc += lat
 		ms.stage = msBarUnlock
 		p.scheduleStep(lat)
 	case msBarUnlock:
 		lat := p.store(barLockLine(ms.op.Arg), 0)
-		if p.epStalled {
-			return
-		}
 		ms.acc += lat
 		if ms.last {
 			p.finishMicro(lat)
@@ -514,9 +434,6 @@ func (p *Proc) microStep() {
 		p.scheduleStep(lat)
 	case msBarSpin:
 		w, lat := p.loadWord(barFlagLine(ms.op.Arg))
-		if p.epStalled {
-			return
-		}
 		ms.acc += lat
 		if w.Val != ms.gen {
 			p.finishMicro(lat)
@@ -564,18 +481,10 @@ func (p *Proc) wsigInsert(line uint64) {
 }
 
 // loadWord performs a load and returns the value (sync sequences need
-// it); load is the plain wrapper. In event-plane mode an L2 miss issues
-// a coherence walk and stalls the processor (epStalled); the grant
-// installs the line and the access replays as an L2 hit, with the
-// replay flag suppressing the second round of miss accounting.
+// it); load is the plain wrapper.
 func (p *Proc) loadWord(line uint64) (mem.Word, sim.Cycle) {
-	st := p.st
-	replay := p.epReplayArmed && line == p.epReplayLine
-	if replay {
-		p.epReplayArmed = false
-	} else {
-		st.MemOps[p.id]++
-	}
+	st := p.m.St
+	st.MemOps[p.id]++
 	cfg := p.m.Cfg
 	if p.l1.Lookup(line) != nil {
 		st.L1Hits++
@@ -586,14 +495,10 @@ func (p *Proc) loadWord(line uint64) (mem.Word, sim.Cycle) {
 		p.consume(l2.Data)
 		return l2.Data, cfg.L1Hit
 	}
-	if !replay {
-		st.L1Misses++
-	}
+	st.L1Misses++
 	lat := cfg.L1Hit
 	if l2 := p.l2.Lookup(line); l2 != nil {
-		if !replay {
-			st.L2Hits++
-		}
+		st.L2Hits++
 		lat += cfg.L2Hit
 		p.fillL1(line, l2.Data)
 		p.consume(l2.Data)
@@ -601,10 +506,6 @@ func (p *Proc) loadWord(line uint64) (mem.Word, sim.Cycle) {
 	}
 	st.L2Misses++
 	lat += cfg.L2Hit
-	if p.epsh != nil {
-		p.epIssueWalk(line, false)
-		return mem.Word{}, 0
-	}
 	res := p.m.Dir.Read(p.id, line)
 	lat += res.Latency
 	l2 := p.insertL2(line)
@@ -640,21 +541,13 @@ func (p *Proc) store(line uint64, val uint64) sim.Cycle {
 func (p *Proc) rmw(line uint64, val uint64) (mem.Word, sim.Cycle) {
 	w := mem.Word{Val: val, Poison: p.faulty || p.tainted}
 	old, lat := p.storeWord(line, w)
-	if p.epStalled {
-		return old, lat // stalled on a walk: the grant replays the RMW
-	}
 	p.consume(old)
 	return old, lat
 }
 
 func (p *Proc) storeWord(line uint64, w mem.Word) (mem.Word, sim.Cycle) {
-	st := p.st
-	replay := p.epReplayArmed && line == p.epReplayLine
-	if replay {
-		p.epReplayArmed = false
-	} else {
-		st.MemOps[p.id]++
-	}
+	st := p.m.St
+	st.MemOps[p.id]++
 	cfg := p.m.Cfg
 	lat := cfg.L1Hit + cfg.L2Hit // write-through L1: every store reaches L2
 	var old mem.Word
@@ -662,9 +555,7 @@ func (p *Proc) storeWord(line uint64, w mem.Word) (mem.Word, sim.Cycle) {
 	l2 := p.l2.Lookup(line)
 	switch {
 	case l2 != nil && l2.State == cache.Modified:
-		if !replay {
-			st.L2Hits++
-		}
+		st.L2Hits++
 		old = l2.Data
 		if l2.Delayed {
 			// A write to a Delayed line forces its writeback first
@@ -696,10 +587,6 @@ func (p *Proc) storeWord(line uint64, w mem.Word) (mem.Word, sim.Cycle) {
 		p.wsigInsert(line)
 	case l2 != nil: // Shared: upgrade
 		st.L2Hits++
-		if p.epsh != nil {
-			p.epIssueWalk(line, true)
-			return mem.Word{}, 0
-		}
 		res := p.m.Dir.Write(p.id, line)
 		lat += res.Latency
 		old = res.Data
@@ -710,10 +597,6 @@ func (p *Proc) storeWord(line uint64, w mem.Word) (mem.Word, sim.Cycle) {
 		p.wsigInsert(line)
 	default:
 		st.L2Misses++
-		if p.epsh != nil {
-			p.epIssueWalk(line, true)
-			return mem.Word{}, 0
-		}
 		res := p.m.Dir.Write(p.id, line)
 		lat += res.Latency
 		old = res.Data
@@ -744,19 +627,8 @@ func (p *Proc) insertL2(line uint64) *cache.Line {
 }
 
 func (p *Proc) evictVictim(v cache.Line) {
-	p.st.L2Evictions++
+	p.m.St.L2Evictions++
 	p.l1.Invalidate(v.Addr) // inclusion
-	if p.epsh != nil {
-		// Directory state is home-shard-only in event-plane mode: the
-		// victim is stashed for the grant handler to return, and the
-		// plane routes it as a WBEVICT/DROPSHARED message leg.
-		if v.Dirty {
-			p.epVictim = coherence.EPEvict{Line: v.Addr, Data: v.Data, Epoch: v.Epoch, Kind: coherence.EvictDirty}
-		} else if v.State == cache.Shared {
-			p.epVictim = coherence.EPEvict{Line: v.Addr, Kind: coherence.EvictShared}
-		}
-		return
-	}
 	if v.Dirty {
 		// Delayed or not, a displaced dirty line goes to memory now;
 		// the log entry carries the epoch in which it was dirtied.

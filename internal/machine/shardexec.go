@@ -6,20 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// The parallel intra-machine executor. Event execution itself must stay
-// sequential — the functional directory protocol mutates other
-// processors' caches synchronously inside one event, so any parallel
-// event schedule would change the interleaving and break the
-// byte-identity guarantee (sim.ShardedEngine is the validated substrate
-// for splitting the protocol into messages; see doc.go). What CAN run
-// in parallel, exactly because the state layer is sharded, is the
-// machine-state plane: snapshot, restore and fork decompose into
-// disjoint tasks — one per processor (caches, Dep registers, streams,
-// checkpoint history), one per state shard (memory words, directory
-// entries), plus the log and the DRAM model. Those tasks touch disjoint
-// memory by construction, so running them on all cores is free of both
-// races and ordering effects: the resulting snapshot bytes are
-// identical at any GOMAXPROCS.
+// The parallel intra-machine executor. Event execution itself stays
+// sequential on one sim.Engine — the functional directory protocol
+// mutates other processors' caches synchronously inside one event, so
+// any parallel event schedule would change the interleaving and break
+// the byte-identity guarantee. What CAN run in parallel, exactly
+// because the state layer is sharded, is the machine-state plane:
+// snapshot, restore and fork decompose into disjoint tasks — one per
+// processor (caches, Dep registers, streams, checkpoint history), one
+// per state shard (memory words, directory entries), plus the log and
+// the DRAM model. Those tasks touch disjoint memory by construction, so
+// running them on all cores is free of both races and ordering effects:
+// the resulting snapshot bytes are identical at any GOMAXPROCS.
 
 // parallelDo runs fn(0)..fn(n-1), fanning the calls out across
 // min(GOMAXPROCS, n) goroutines. The tasks must be mutually

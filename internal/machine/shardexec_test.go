@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestParallelDoSingleTask pins the degenerate dispatch paths: one task
 // (any GOMAXPROCS) and any task count at GOMAXPROCS=1 run inline on the
@@ -20,9 +23,26 @@ func TestParallelDoSingleTask(t *testing.T) {
 	if ran == 0 {
 		t.Fatal("tasks never ran")
 	}
+	prev := runtime.GOMAXPROCS(1)
 	var got []int
 	parallelDo(3, func(i int) { got = append(got, i) })
+	runtime.GOMAXPROCS(prev)
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("sequential fallback ran tasks %v, want [0 1 2]", got)
+	}
+}
+
+// TestParallelDoRunsEveryTaskOnce drives the concurrent path: several
+// workers on more tasks than workers, each task recorded by its own
+// index (no shared append), must run every task exactly once.
+func TestParallelDoRunsEveryTaskOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 64
+	var runs [n]int
+	parallelDo(n, func(i int) { runs[i]++ })
+	for i, c := range runs {
+		if c != 1 {
+			t.Fatalf("task %d ran %d times, want 1", i, c)
+		}
 	}
 }

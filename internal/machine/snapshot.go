@@ -66,17 +66,6 @@ type MachineSnapshot struct {
 
 	procs []procSnapshot
 
-	// Event-plane extension (populated only by event-plane machines;
-	// eventplane.go): per-shard engine queues and state partitions, the
-	// executor's completed-epoch frontier, the per-shard interned-
-	// address prefixes of the sharded line table, and the per-processor
-	// walk/replay registers. The shared mem/dir/procs fields above are
-	// used unchanged.
-	epShards   []epShardSnapshot
-	epFrontier sim.Cycle
-	epTab      [][]uint64
-	epProcs    []epProcSnapshot
-
 	// Opaque scheme state (SchemeSnapshotter), nil for stateless schemes.
 	scheme any
 
@@ -115,17 +104,11 @@ type procSnapshot struct {
 // snapshotBlocker returns "" when the machine is at a snapshot-safe
 // point, or a description of the first obstacle.
 func (m *Machine) snapshotBlocker() string {
-	if m.ep != nil {
-		if why := m.epBlocker(); why != "" {
-			return why
-		}
-	} else if !m.Eng.AllTagged() {
+	if !m.Eng.AllTagged() {
 		return "pending untagged event (protocol message, timer or injector in flight)"
 	}
 	for _, p := range m.Procs {
 		switch {
-		case p.epStalled:
-			return fmt.Sprintf("proc %d stalled on a coherence walk", p.id)
 		case p.paused:
 			return fmt.Sprintf("proc %d paused", p.id)
 		case p.pauseReq != nil:
@@ -160,9 +143,6 @@ func (m *Machine) SnapshotReady() bool { return m.snapshotBlocker() == "" }
 // settling both the same way.
 func (m *Machine) SettleForSnapshot(maxCycles sim.Cycle) bool {
 	m.targetInstr = 0
-	if m.ep != nil {
-		return m.settleEPForSnapshot(maxCycles)
-	}
 	deadline := m.Eng.Now() + maxCycles
 	for m.snapshotBlocker() != "" {
 		if m.Eng.Now() > deadline || !m.Eng.Step() {
@@ -176,9 +156,6 @@ func (m *Machine) SettleForSnapshot(maxCycles sim.Cycle) bool {
 // reusing s's storage across captures. The machine must be at a
 // snapshot-safe point (SnapshotReady / SettleForSnapshot).
 func (m *Machine) Snapshot(s *MachineSnapshot) error {
-	if m.ep != nil {
-		return m.snapshotEP(s)
-	}
 	if why := m.snapshotBlocker(); why != "" {
 		return fmt.Errorf("machine: not snapshot-safe: %s", why)
 	}
@@ -236,9 +213,6 @@ func (m *Machine) Restore(s *MachineSnapshot) error {
 	}
 	if !sameConfig(s.cfg, m.Cfg) {
 		return fmt.Errorf("machine: snapshot config mismatch")
-	}
-	if m.ep != nil {
-		return m.restoreEP(s)
 	}
 	if err := m.Ctrl.Memory().Table().AdoptPrefix(s.tab); err != nil {
 		return err
@@ -358,12 +332,6 @@ func (m *Machine) Reset(scheme Scheme) {
 	m.Ctrl.Log().Reset()
 	m.Ctrl.DRAM().Reset()
 	m.Dir.Reset()
-	if m.ep != nil {
-		if scheme.Name() != "none" {
-			panic("machine: event-plane machines reset only onto the null scheme")
-		}
-		m.epReset()
-	}
 	m.totalInstr, m.targetInstr = 0, 0
 	m.OnTaint = nil
 	m.restoredFrom, m.restoredGen = nil, 0
@@ -403,5 +371,4 @@ func (p *Proc) reset() {
 	p.depStallSince = 0
 	p.restoreGen = 0
 	p.openPending = false
-	p.epResetProc()
 }

@@ -12,17 +12,6 @@ import "fmt"
 type LineTable struct {
 	ids   map[uint64]int32
 	addrs []uint64
-
-	// Sharded-intern mode (event plane): each shard interns the
-	// addresses of its own hash partition without coordination, and IDs
-	// are assigned so that sh.Shard(id) == sh.AddrShard(addr) — the slot
-	// is the per-shard intern order. The flat ID space can then contain
-	// holes (shards intern at different rates), so the flat addrs/ids
-	// fields stay nil and the flat accessors dispatch per shard.
-	sharded    bool
-	sh         Sharding
-	shardIDs   []map[uint64]int32
-	shardAddrs [][]uint64
 }
 
 // NewLineTable returns an empty table.
@@ -30,36 +19,8 @@ func NewLineTable() *LineTable {
 	return &LineTable{ids: make(map[uint64]int32, 1024)}
 }
 
-// NewLineTableSharded returns an empty table in sharded-intern mode for
-// the given layout. During a parallel epoch each engine shard may call
-// ID/Lookup/Addr only for addresses (or IDs) of its own partition.
-func NewLineTableSharded(sh Sharding) *LineTable {
-	t := &LineTable{sharded: true, sh: sh,
-		shardIDs:   make([]map[uint64]int32, sh.N()),
-		shardAddrs: make([][]uint64, sh.N()),
-	}
-	for i := range t.shardIDs {
-		t.shardIDs[i] = make(map[uint64]int32, 1024/sh.N()+1)
-	}
-	return t
-}
-
-// Sharded reports whether the table is in sharded-intern mode.
-func (t *LineTable) Sharded() bool { return t.sharded }
-
 // ID returns the dense ID of addr, interning it on first touch.
 func (t *LineTable) ID(addr uint64) int32 {
-	if t.sharded {
-		shd := t.sh.AddrShard(addr)
-		m := t.shardIDs[shd]
-		if id, ok := m[addr]; ok {
-			return id
-		}
-		id := t.sh.ID(shd, len(t.shardAddrs[shd]))
-		m[addr] = id
-		t.shardAddrs[shd] = append(t.shardAddrs[shd], addr)
-		return id
-	}
 	if id, ok := t.ids[addr]; ok {
 		return id
 	}
@@ -71,74 +32,19 @@ func (t *LineTable) ID(addr uint64) int32 {
 
 // Lookup returns the ID of addr without interning.
 func (t *LineTable) Lookup(addr uint64) (int32, bool) {
-	if t.sharded {
-		id, ok := t.shardIDs[t.sh.AddrShard(addr)][addr]
-		return id, ok
-	}
 	id, ok := t.ids[addr]
 	return id, ok
 }
 
 // Addr returns the address interned as id.
-func (t *LineTable) Addr(id int32) uint64 {
-	if t.sharded {
-		return t.shardAddrs[t.sh.Shard(id)][t.sh.Slot(id)]
-	}
-	return t.addrs[id]
-}
+func (t *LineTable) Addr(id int32) uint64 { return t.addrs[id] }
 
 // Len returns the number of interned addresses.
-func (t *LineTable) Len() int {
-	if t.sharded {
-		n := 0
-		for _, a := range t.shardAddrs {
-			n += len(a)
-		}
-		return n
-	}
-	return len(t.addrs)
-}
+func (t *LineTable) Len() int { return len(t.addrs) }
 
-// ShardAddrs returns shard sh's interned addresses in slot order
-// (sharded-intern mode only). Shared storage: callers must not mutate
-// or retain across interning.
-func (t *LineTable) ShardAddrs(sh int) []uint64 {
-	if !t.sharded {
-		panic("mem: ShardAddrs on a flat-intern LineTable")
-	}
-	return t.shardAddrs[sh]
-}
-
-// AdoptShardPrefix is AdoptPrefix for one shard of a sharded-intern
-// table: it makes shard sh's first len(addrs) slots map exactly the
-// given addresses, interning any unknown ones.
-func (t *LineTable) AdoptShardPrefix(sh int, addrs []uint64) error {
-	if !t.sharded {
-		panic("mem: AdoptShardPrefix on a flat-intern LineTable")
-	}
-	have := t.shardAddrs[sh]
-	for i, a := range addrs {
-		if i < len(have) {
-			if have[i] != a {
-				return fmt.Errorf("mem: line table shard %d slot %d maps %#x, snapshot expects %#x", sh, i, have[i], a)
-			}
-			continue
-		}
-		t.shardIDs[sh][a] = t.sh.ID(sh, i)
-		t.shardAddrs[sh] = append(t.shardAddrs[sh], a)
-	}
-	return nil
-}
-
-// Addrs returns the interned addresses in ID order (flat-intern mode
-// only — a sharded table's ID space is not contiguous). Shared storage:
+// Addrs returns the interned addresses in ID order. Shared storage:
 // callers must not mutate or retain across interning.
-func (t *LineTable) Addrs() []uint64 {
-	if t.sharded {
-		panic("mem: Addrs on a sharded-intern LineTable (use ShardAddrs)")
-	}
-	return t.addrs
-}
+func (t *LineTable) Addrs() []uint64 { return t.addrs }
 
 // AdoptPrefix makes the table's first len(addrs) IDs map exactly the
 // given addresses, interning any the table does not know yet. It errors
@@ -147,9 +53,6 @@ func (t *LineTable) Addrs() []uint64 {
 // history. A table longer than addrs is fine: IDs are append-only, so
 // the captured prefix is still intact.
 func (t *LineTable) AdoptPrefix(addrs []uint64) error {
-	if t.sharded {
-		panic("mem: AdoptPrefix on a sharded-intern LineTable (use AdoptShardPrefix)")
-	}
 	n := len(t.addrs)
 	for i, a := range addrs {
 		if i < n {

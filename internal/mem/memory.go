@@ -29,10 +29,8 @@ type Memory struct {
 	tab   *LineTable
 	sh    Sharding
 	words [][]Word // per shard, indexed by slot
-	// nonzero counts non-zero lines per shard. Keeping the counter
-	// shard-local (rather than one machine total) is what lets parallel
-	// event-plane epochs write disjoint shards without sharing a scalar.
-	nonzero []int
+	// nonzero counts non-zero lines across all shards.
+	nonzero int
 
 	// dirty tracks, per shard, the slot pages mutated since the last
 	// Load / LoadDelta, for the snapshot engine's copy-on-write restore.
@@ -55,11 +53,10 @@ func NewMemoryWith(tab *LineTable) *Memory {
 // with its word store partitioned by sh.
 func NewMemorySharded(tab *LineTable, sh Sharding) *Memory {
 	return &Memory{
-		tab:     tab,
-		sh:      sh,
-		words:   make([][]Word, sh.N()),
-		nonzero: make([]int, sh.N()),
-		dirty:   make([]cow.Dirty, sh.N()),
+		tab:   tab,
+		sh:    sh,
+		words: make([][]Word, sh.N()),
+		dirty: make([]cow.Dirty, sh.N()),
 	}
 }
 
@@ -93,9 +90,9 @@ func (m *Memory) WriteID(id int32, w Word) {
 	m.words[sh][sl] = w
 	if (old == Word{}) != (w == Word{}) {
 		if w == (Word{}) {
-			m.nonzero[sh]--
+			m.nonzero--
 		} else {
-			m.nonzero[sh]++
+			m.nonzero++
 		}
 	}
 }
@@ -122,13 +119,7 @@ func (m *Memory) Write(addr uint64, w Word) {
 }
 
 // Len returns the number of non-zero lines.
-func (m *Memory) Len() int {
-	n := 0
-	for _, c := range m.nonzero {
-		n += c
-	}
-	return n
-}
+func (m *Memory) Len() int { return m.nonzero }
 
 // idLimit returns one past the highest interned ID any shard's word
 // store covers, i.e. the length the flat array would have.
@@ -163,7 +154,7 @@ func (m *Memory) ForEach(fn func(addr uint64, w Word)) {
 // Snapshot returns a deep copy of the memory contents, used by tests to
 // compare pre-fault and post-recovery state.
 func (m *Memory) Snapshot() map[uint64]Word {
-	s := make(map[uint64]Word, m.Len())
+	s := make(map[uint64]Word, m.nonzero)
 	m.ForEach(func(a uint64, w Word) { s[a] = w })
 	return s
 }
@@ -195,7 +186,7 @@ func (m *Memory) AnyPoison() (uint64, bool) {
 // for the format-1 persistent codec.
 type MemorySnapshot struct {
 	shards  [][]Word
-	nonzero []int // per shard, so SaveShard/LoadShard stay disjoint
+	nonzero int
 }
 
 // NumShards returns the number of captured shards (0 for an empty
@@ -203,38 +194,16 @@ type MemorySnapshot struct {
 func (s *MemorySnapshot) NumShards() int { return len(s.shards) }
 
 // Nonzero returns the captured non-zero line count.
-func (s *MemorySnapshot) Nonzero() int {
-	n := 0
-	for _, c := range s.nonzero {
-		n += c
-	}
-	return n
-}
-
-// countNonzero recounts the per-shard non-zero totals from the captured
-// words (persistent codec decode path — the wire format carries only
-// the machine total).
-func (s *MemorySnapshot) countNonzero() {
-	s.nonzero = make([]int, len(s.shards))
-	for i, ws := range s.shards {
-		for _, w := range ws {
-			if w != (Word{}) {
-				s.nonzero[i]++
-			}
-		}
-	}
-}
+func (s *MemorySnapshot) Nonzero() int { return s.nonzero }
 
 // ShardWords returns the captured words of one shard (not a copy; the
 // caller must not mutate it).
 func (s *MemorySnapshot) ShardWords(i int) []Word { return s.shards[i] }
 
 // SetShards installs captured per-shard words directly (persistent
-// codec decode path). The per-shard non-zero counts are recounted from
-// the words — the wire format does not carry the split.
-func (s *MemorySnapshot) SetShards(shards [][]Word) {
-	s.shards = shards
-	s.countNonzero()
+// codec decode path).
+func (s *MemorySnapshot) SetShards(shards [][]Word, nonzero int) {
+	s.shards, s.nonzero = shards, nonzero
 }
 
 // FlatWords returns the capture as one flat ID-indexed slice. For a
@@ -267,10 +236,10 @@ func (s *MemorySnapshot) FlatWords(sh Sharding) []Word {
 // LoadFlatWords installs a flat ID-indexed capture, scattering it into
 // sh's layout (persistent codec decode path; single-shard captures
 // adopt the slice directly).
-func (s *MemorySnapshot) LoadFlatWords(sh Sharding, flat []Word) {
+func (s *MemorySnapshot) LoadFlatWords(sh Sharding, flat []Word, nonzero int) {
+	s.nonzero = nonzero
 	if sh.N() == 1 {
 		s.shards = [][]Word{flat}
-		s.countNonzero()
 		return
 	}
 	s.shards = make([][]Word, sh.N())
@@ -280,7 +249,6 @@ func (s *MemorySnapshot) LoadFlatWords(sh Sharding, flat []Word) {
 	for id, w := range flat {
 		s.shards[sh.Shard(int32(id))][sh.Slot(int32(id))] = w
 	}
-	s.countNonzero()
 }
 
 // prepare sizes s for n shards, keeping per-shard storage.
@@ -292,11 +260,6 @@ func (s *MemorySnapshot) prepare(n int) {
 	} else {
 		s.shards = s.shards[:n]
 	}
-	if cap(s.nonzero) < n {
-		s.nonzero = make([]int, n)
-	} else {
-		s.nonzero = s.nonzero[:n]
-	}
 }
 
 // Save copies the memory contents into s.
@@ -305,11 +268,12 @@ func (m *Memory) Save(s *MemorySnapshot) {
 	for i := range m.words {
 		m.SaveShard(s, i)
 	}
+	s.nonzero = m.nonzero
 }
 
-// SaveShard copies one shard's words (and non-zero count) into s. The
-// caller must have sized s with SavePrepare; distinct shards may be
-// saved concurrently (disjoint storage).
+// SaveShard copies one shard's words into s. The caller must have
+// sized s with SavePrepare and must set the nonzero count itself;
+// distinct shards may be saved concurrently (disjoint storage).
 func (m *Memory) SaveShard(s *MemorySnapshot, i int) {
 	ws := m.words[i]
 	if cap(s.shards[i]) < len(ws) {
@@ -318,7 +282,6 @@ func (m *Memory) SaveShard(s *MemorySnapshot, i int) {
 		s.shards[i] = s.shards[i][:len(ws)]
 	}
 	copy(s.shards[i], ws)
-	s.nonzero[i] = m.nonzero[i]
 }
 
 // SavePrepare sizes s for a per-shard parallel save (machine snapshot
@@ -326,11 +289,8 @@ func (m *Memory) SaveShard(s *MemorySnapshot, i int) {
 // safe concurrently, and the caller finishes with SaveFinish.
 func (m *Memory) SavePrepare(s *MemorySnapshot) { s.prepare(len(m.words)) }
 
-// SaveFinish is the per-shard save epilogue. All captured state is now
-// shard-local, so it has nothing left to record; it is kept so the
-// snapshot executor's prepare/shard/finish shape stays uniform across
-// the sharded structures.
-func (m *Memory) SaveFinish(s *MemorySnapshot) {}
+// SaveFinish records the scalar state a per-shard save cannot.
+func (m *Memory) SaveFinish(s *MemorySnapshot) { s.nonzero = m.nonzero }
 
 // Load restores the memory from s, adopting the captured length
 // exactly: a longer live shard shrinks (lines interned after the
@@ -340,6 +300,7 @@ func (m *Memory) Load(s *MemorySnapshot) {
 	for i := range m.words {
 		m.LoadShard(s, i)
 	}
+	m.nonzero = s.nonzero
 }
 
 // LoadShard restores one shard from s (full copy). Distinct shards may
@@ -352,7 +313,6 @@ func (m *Memory) LoadShard(s *MemorySnapshot, i int) {
 		m.words[i] = m.words[i][:len(sw)]
 	}
 	copy(m.words[i], sw)
-	m.nonzero[i] = s.nonzero[i]
 	m.dirty[i].Clear()
 }
 
@@ -384,19 +344,18 @@ func (m *Memory) LoadDeltaShard(s *MemorySnapshot, i int) {
 		copy(m.words[i][lo:hi], sw[lo:hi])
 	})
 	m.words[i] = m.words[i][:n]
-	m.nonzero[i] = s.nonzero[i]
 	m.dirty[i].Clear()
 }
 
-// LoadFinish is the per-shard load epilogue; like SaveFinish it is a
-// no-op kept for the executor's uniform prepare/shard/finish shape.
-func (m *Memory) LoadFinish(s *MemorySnapshot) {}
+// LoadFinish records the scalar state a per-shard load cannot.
+func (m *Memory) LoadFinish(s *MemorySnapshot) { m.nonzero = s.nonzero }
 
 // LoadDelta restores the memory from s via the per-shard delta path.
 func (m *Memory) LoadDelta(s *MemorySnapshot) {
 	for i := range m.words {
 		m.LoadDeltaShard(s, i)
 	}
+	m.nonzero = s.nonzero
 }
 
 // Reset zeroes the memory in place. The shared line table is kept —
@@ -407,6 +366,6 @@ func (m *Memory) Reset() {
 	for i := range m.words {
 		clear(m.words[i])
 		m.dirty[i].MarkAll()
-		m.nonzero[i] = 0
 	}
+	m.nonzero = 0
 }

@@ -56,17 +56,6 @@ func (s Sharding) N() int {
 // Shard returns the home shard of interned line id.
 func (s Sharding) Shard(id int32) int { return int(id & s.mask) }
 
-// AddrShard returns the home shard of a line address by hash, without
-// interning — the event-plane message router needs a line's home shard
-// before any shard has assigned it an ID. The hash is the DRAM channel
-// hash, so for power-of-two shard counts up to the DRAM bank count each
-// bank is touched by exactly one shard. Sharded-intern LineTables (see
-// NewLineTableSharded) assign IDs so that Shard(ID(addr)) ==
-// AddrShard(addr).
-func (s Sharding) AddrShard(addr uint64) int {
-	return int(addr^(addr>>13)) & int(s.mask)
-}
-
 // Slot returns id's index within its shard's slice.
 func (s Sharding) Slot(id int32) int { return int(id >> s.shift) }
 

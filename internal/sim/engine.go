@@ -19,38 +19,24 @@ type Tag struct {
 	ID   int32
 }
 
-// SavedEvent is the snapshot form of one pending tagged event. Key is
-// the deterministic ordering key of a keyed event (see ScheduleKeyed);
-// it is 0 for every event scheduled through the plain APIs, so legacy
-// snapshots are unchanged.
+// SavedEvent is the snapshot form of one pending tagged event.
 type SavedEvent struct {
 	At  Cycle
 	Seq uint64
 	Tag Tag
-	Key uint64 `json:",omitempty"`
 }
 
 type event struct {
 	at  Cycle
-	key uint64
 	seq uint64
 	tag Tag
 	fn  func()
 }
 
-// before orders events by (time, key, insertion order). Plain events
-// all carry key 0, so among themselves the order is the historical
-// (time, insertion order); keyed events sort after plain events at the
-// same cycle and among themselves by their caller-chosen key, which is
-// what makes their firing order independent of insertion order (and
-// hence of shard count, for events injected across ShardedEngine
-// barriers).
+// before orders events by (time, insertion order).
 func (e event) before(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at
-	}
-	if e.key != o.key {
-		return e.key < o.key
 	}
 	return e.seq < o.seq
 }
@@ -147,40 +133,6 @@ func (e *Engine) ScheduleTagged(delay Cycle, tag Tag, fn func()) {
 	e.push(event{at: e.now + delay, seq: e.seq, tag: tag, fn: fn})
 }
 
-// ScheduleKeyed is Schedule for an event whose same-cycle firing order
-// must be independent of scheduling order: same-cycle events fire in
-// ascending key order (ties broken by insertion order), and all keyed
-// events fire after any plain-scheduled events at the same cycle. The
-// caller owns key uniqueness; the stored key is key+1 so that no user
-// key collides with the plain-event key 0.
-func (e *Engine) ScheduleKeyed(delay Cycle, key uint64, fn func()) {
-	e.seq++
-	e.untagged++
-	e.push(event{at: e.now + delay, key: key + 1, seq: e.seq, fn: fn})
-}
-
-// ScheduleKeyedTagged combines ScheduleKeyed ordering with
-// ScheduleTagged snapshotability. tag must be non-zero.
-func (e *Engine) ScheduleKeyedTagged(delay Cycle, key uint64, tag Tag, fn func()) {
-	if tag == (Tag{}) {
-		panic("sim: ScheduleKeyedTagged with a zero tag (use ScheduleKeyed)")
-	}
-	e.seq++
-	e.push(event{at: e.now + delay, key: key + 1, seq: e.seq, tag: tag, fn: fn})
-}
-
-// scheduleKeyedAbs schedules fn at an absolute cycle with an
-// already-shifted internal key. It is the ShardedEngine barrier's
-// key-preserving injection path; rawKey 0 is a plain event.
-func (e *Engine) scheduleKeyedAbs(when Cycle, rawKey uint64, fn func()) {
-	if when < e.now {
-		when = e.now
-	}
-	e.seq++
-	e.untagged++
-	e.push(event{at: when, key: rawKey, seq: e.seq, fn: fn})
-}
-
 // AllTagged reports whether every pending event carries a tag, i.e.
 // whether the queue is snapshotable.
 func (e *Engine) AllTagged() bool { return e.untagged == 0 }
@@ -194,7 +146,7 @@ func (e *Engine) Save(buf []SavedEvent) (now Cycle, seq uint64, events []SavedEv
 	}
 	buf = buf[:0]
 	for _, ev := range e.heap {
-		buf = append(buf, SavedEvent{At: ev.at, Seq: ev.seq, Tag: ev.Tag(), Key: ev.key})
+		buf = append(buf, SavedEvent{At: ev.at, Seq: ev.seq, Tag: ev.Tag()})
 	}
 	return e.now, e.seq, buf, true
 }
@@ -211,7 +163,7 @@ func (e *Engine) Load(now Cycle, seq uint64, events []SavedEvent, resolve func(T
 	clear(e.heap) // release stale fn references
 	e.heap = e.heap[:0]
 	for _, sv := range events {
-		e.heap = append(e.heap, event{at: sv.At, key: sv.Key, seq: sv.Seq, tag: sv.Tag, fn: resolve(sv.Tag)})
+		e.heap = append(e.heap, event{at: sv.At, seq: sv.Seq, tag: sv.Tag, fn: resolve(sv.Tag)})
 	}
 }
 
@@ -230,22 +182,6 @@ func (e *Engine) At(when Cycle, fn func()) {
 		when = e.now
 	}
 	e.Schedule(when-e.now, fn)
-}
-
-// AdvanceTo moves the clock forward to when without firing anything; a
-// cycle at or before the current one is a no-op. The machine's
-// event-plane settle path aligns idle shard clocks to the epoch
-// frontier before re-seeding step events, so the seeded times do not
-// depend on when each shard's heap happened to empty. Advancing past a
-// pending event would reorder time, so it panics.
-func (e *Engine) AdvanceTo(when Cycle) {
-	if when <= e.now {
-		return
-	}
-	if len(e.heap) > 0 && e.heap[0].at < when {
-		panic("sim: AdvanceTo past a pending event")
-	}
-	e.now = when
 }
 
 // Pending returns the number of scheduled events not yet fired.

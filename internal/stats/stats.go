@@ -8,7 +8,6 @@ package stats
 
 import (
 	"fmt"
-	"reflect"
 
 	"repro/internal/sim"
 )
@@ -166,58 +165,6 @@ func (s *Stats) CopyInto(dst *Stats) {
 	for i := range dst.Rollbacks {
 		// Members must not be shared: the source records stay live.
 		dst.Rollbacks[i].Members = append([]int(nil), s.Rollbacks[i].Members...)
-	}
-}
-
-// AddInto accumulates every counter of s into dst: scalars and per-core
-// slices sum elementwise, EndCycle takes the max, and checkpoint /
-// rollback records append in call order. It is the fold step of the
-// event-plane machine, which accounts each engine shard into a private
-// Stats during parallel epochs and sums the shards into the machine-
-// level Stats on demand. Accumulation is commutative, so the fold is
-// independent of shard count and order (records excepted — the event
-// plane runs schemes that produce none). Implemented by reflection so
-// that a field added to Stats without an aggregation rule fails loudly
-// here instead of silently vanishing from folded runs.
-func (s *Stats) AddInto(dst *Stats) {
-	if dst.NProcs != s.NProcs {
-		panic("stats: AddInto across different processor counts")
-	}
-	sv := reflect.ValueOf(s).Elem()
-	dv := reflect.ValueOf(dst).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		name := sv.Type().Field(i).Name
-		if name == "NProcs" {
-			continue
-		}
-		src, d := sv.Field(i), dv.Field(i)
-		if name == "EndCycle" {
-			if src.Uint() > d.Uint() {
-				d.SetUint(src.Uint())
-			}
-			continue
-		}
-		switch src.Kind() {
-		case reflect.Uint64:
-			d.SetUint(d.Uint() + src.Uint())
-		case reflect.Slice:
-			switch xs := src.Interface().(type) {
-			case []uint64:
-				dxs := d.Interface().([]uint64)
-				if len(dxs) != len(xs) {
-					panic("stats: AddInto per-core slice length mismatch")
-				}
-				for j, v := range xs {
-					dxs[j] += v
-				}
-			case []CkptRecord, []RollRecord:
-				d.Set(reflect.AppendSlice(d, src))
-			default:
-				panic(fmt.Sprintf("stats: AddInto has no rule for field %s (%T)", name, xs))
-			}
-		default:
-			panic(fmt.Sprintf("stats: AddInto has no rule for field %s (kind %v)", name, src.Kind()))
-		}
 	}
 }
 
