@@ -29,13 +29,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -105,11 +102,11 @@ func main() {
 
 	if *server != "" {
 		begin := time.Now()
-		rep, err := runRemote(*server, *poll, service.CampaignRequest{
+		rep, err := service.SubmitAndPoll[campaign.Report](*server, "/v1/campaigns", service.CampaignRequest{
 			RunRequest: service.RunRequest{App: *app, Procs: np, Scheme: *scheme, Scale: sc.Name, Shards: *shards},
 			Trials:     *trials, Faults: *faults, Window: *window,
 			DetectLatency: *detect, Seed: *seed,
-		}, progress)
+		}, *poll, retry.Policy{Attempts: 10, Jitter: 0.5, Seed: *seed}, progress)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 			os.Exit(1)
@@ -163,81 +160,6 @@ func finish(rep *campaign.Report, elapsed time.Duration, jsonOut bool) {
 		fmt.Fprintf(os.Stderr, "campaign: VERIFICATION FAILED on %d/%d trials\n",
 			rep.Trials-rep.VerifiedOK, rep.Trials)
 		os.Exit(1)
-	}
-}
-
-// runRemote submits the campaign to a reboundd server and polls it to
-// completion. Every transport operation retries under capped
-// exponential backoff (the retry helper), so a brief server restart
-// mid-campaign costs a bounded wait, not the run: the server resumes
-// the campaign from its persisted trials on the next POST.
-func runRemote(base string, poll time.Duration, req service.CampaignRequest,
-	progress func(done, total int)) (*campaign.Report, error) {
-	base = strings.TrimSuffix(base, "/")
-	policy := retry.Policy{Attempts: 10, Jitter: 0.5, Seed: req.Seed}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-
-	submit := func() (service.CampaignResponse, error) {
-		var cr service.CampaignResponse
-		err := policy.Do(context.Background(), func() error {
-			resp, err := http.Post(base+"/v1/campaigns", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-				return fmt.Errorf("POST /v1/campaigns: %s: %s", resp.Status, bytes.TrimSpace(b))
-			}
-			return json.NewDecoder(resp.Body).Decode(&cr)
-		})
-		return cr, err
-	}
-	get := func(key string) (service.CampaignResponse, error) {
-		var cr service.CampaignResponse
-		err := policy.Do(context.Background(), func() error {
-			resp, err := http.Get(base + "/v1/campaigns/" + key)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-				return fmt.Errorf("GET /v1/campaigns/%s: %s: %s", key, resp.Status, bytes.TrimSpace(b))
-			}
-			return json.NewDecoder(resp.Body).Decode(&cr)
-		})
-		return cr, err
-	}
-
-	cr, err := submit()
-	if err != nil {
-		return nil, err
-	}
-	key := cr.Key
-	for {
-		switch cr.Status {
-		case "done":
-			if cr.Report == nil {
-				// Progress races report persistence on the server; fetch
-				// once more for the full body.
-				break
-			}
-			progress(cr.Total, cr.Total)
-			return cr.Report, nil
-		case "failed":
-			return nil, fmt.Errorf("campaign %s failed on the server: %s", key, cr.Error)
-		}
-		if cr.Total > 0 {
-			progress(cr.Done, cr.Total)
-		}
-		time.Sleep(poll)
-		if cr, err = get(key); err != nil {
-			return nil, err
-		}
 	}
 }
 

@@ -32,13 +32,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -122,13 +119,13 @@ func main() {
 
 	if *server != "" {
 		begin := time.Now()
-		rep, err := runRemote(*server, *poll, service.ExploreRequest{
+		rep, err := service.SubmitAndPoll[explore.FrontierReport](*server, "/v1/explore", service.ExploreRequest{
 			App: *app, Procs: *procs, Scale: sc.Name,
 			Schemes: spec.Schemes, Intervals: spec.Intervals,
 			WSIGBits: wsig, DepSets: deps, Shards: shs,
 			Trials: *trials, Faults: *faults, Window: *window,
 			DetectLatency: *detect, Seed: *seed, Strategy: *strategy,
-		}, progress)
+		}, *poll, retry.Policy{Attempts: 10, Jitter: 0.5, Seed: *seed}, progress)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "explore: %v\n", err)
 			os.Exit(1)
@@ -168,80 +165,6 @@ func finish(rep *explore.FrontierReport, elapsed time.Duration, jsonOut bool) {
 		return
 	}
 	printSummary(rep, elapsed)
-}
-
-// runRemote submits the exploration to a reboundd server and polls it
-// to completion, retrying transport hiccups under capped exponential
-// backoff. A brief server restart costs a bounded wait, not the run:
-// the server resumes the exploration from its persisted cells on the
-// next POST.
-func runRemote(base string, poll time.Duration, req service.ExploreRequest,
-	progress func(done, total int)) (*explore.FrontierReport, error) {
-	base = strings.TrimSuffix(base, "/")
-	policy := retry.Policy{Attempts: 10, Jitter: 0.5, Seed: req.Seed}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-
-	submit := func() (service.ExploreResponse, error) {
-		var er service.ExploreResponse
-		err := policy.Do(context.Background(), func() error {
-			resp, err := http.Post(base+"/v1/explore", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-				return fmt.Errorf("POST /v1/explore: %s: %s", resp.Status, bytes.TrimSpace(b))
-			}
-			return json.NewDecoder(resp.Body).Decode(&er)
-		})
-		return er, err
-	}
-	get := func(key string) (service.ExploreResponse, error) {
-		var er service.ExploreResponse
-		err := policy.Do(context.Background(), func() error {
-			resp, err := http.Get(base + "/v1/explore/" + key)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-				return fmt.Errorf("GET /v1/explore/%s: %s: %s", key, resp.Status, bytes.TrimSpace(b))
-			}
-			return json.NewDecoder(resp.Body).Decode(&er)
-		})
-		return er, err
-	}
-
-	er, err := submit()
-	if err != nil {
-		return nil, err
-	}
-	key := er.Key
-	for {
-		switch er.Status {
-		case "done":
-			if er.Report != nil {
-				progress(er.Total, er.Total)
-				return er.Report, nil
-			}
-			// Progress races report persistence on the server; fetch
-			// once more for the full body.
-		case "failed":
-			return nil, fmt.Errorf("exploration %s failed on the server: %s", key, er.Error)
-		}
-		if er.Total > 0 {
-			progress(er.Done, er.Total)
-		}
-		time.Sleep(poll)
-		if er, err = get(key); err != nil {
-			return nil, err
-		}
-	}
 }
 
 func printSummary(rep *explore.FrontierReport, elapsed time.Duration) {

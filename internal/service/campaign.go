@@ -1,22 +1,15 @@
 package service
 
-// The fault-campaign endpoints. A campaign is minutes of simulation,
-// not a request-sized job, so the API is asynchronous: POST
-// /v1/campaigns validates, starts (or joins) the campaign in the
-// background and answers immediately with its content-address key and
-// progress; GET /v1/campaigns/{key} polls progress and, once the
-// campaign finished, returns the stored Report. Per-trial records and
+// The fault-campaign job kind: POST /v1/campaigns and GET
+// /v1/campaigns/{key}, with the lifecycle every background job shares
+// (jobs.go). A campaign's units are its trials. Per-trial records and
 // the report persist through the same content-addressed store as run
-// records, so a daemon killed mid-campaign resumes it on the next POST
-// instead of restarting, and a finished campaign is served from disk
-// forever. Progress is also visible in /metrics (campaigns_running,
+// records, so a daemon killed mid-campaign resumes from its completed
+// trials. Progress is also visible in /metrics (campaigns_running,
 // campaign_trials_done).
 
 import (
 	"context"
-	"fmt"
-	"net/http"
-	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/harness"
@@ -49,200 +42,30 @@ func (cr CampaignRequest) Spec(def harness.Scale) (campaign.Spec, error) {
 	return cs, cs.Validate()
 }
 
-// CampaignResponse answers both campaign endpoints.
-type CampaignResponse struct {
-	Key string `json:"key"`
-	// Status is "running", "done" or "failed".
-	Status string `json:"status"`
-	// Done/Total report trial progress, counting trials restored from
-	// the store by a resumed campaign.
-	Done  int `json:"done"`
-	Total int `json:"total"`
-	// Cached is true when the report was served from the store without
-	// simulating anything for this request.
-	Cached bool             `json:"cached,omitempty"`
-	Report *campaign.Report `json:"report,omitempty"`
-	Error  string           `json:"error,omitempty"`
-}
+// CampaignResponse answers both campaign endpoints. Done/Total count
+// trials.
+type CampaignResponse = JobResponse[campaign.Report]
 
-// campaignJob tracks one background campaign. The server's campaign
-// map holds running and failed jobs; finished ones are dropped (their
-// report lives in the store).
-type campaignJob struct {
-	mu     sync.Mutex
-	status string // "running" | "failed"
-	done   int
-	total  int
-	err    error
-}
-
-func (j *campaignJob) progress(done, total int) {
-	j.mu.Lock()
-	j.done, j.total = done, total
-	j.mu.Unlock()
-}
-
-func (j *campaignJob) response(key string) CampaignResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	resp := CampaignResponse{Key: key, Status: j.status, Done: j.done, Total: j.total}
-	if j.err != nil {
-		resp.Error = j.err.Error()
+// campaignKind defines the campaign job kind.
+func (s *Server) campaignKind() *jobKind[CampaignRequest, campaign.Spec, campaign.Report] {
+	return &jobKind[CampaignRequest, campaign.Spec, campaign.Report]{
+		s: s, path: "/v1/campaigns", noun: "campaign",
+		keyOf: campaign.KeyOf,
+		load:  s.loader.LoadReport,
+		start: func(spec campaign.Spec) int { return spec.Trials },
+		total: func(rep *campaign.Report) int { return rep.Trials },
+		run: func(spec campaign.Spec, onProgress func(done, total int)) (*campaign.Report, error) {
+			if s.coord != nil {
+				// Coordinator role: the cluster shards the trials across
+				// the in-process worker and any remote workers; the report
+				// the coordinator assembles from their records is
+				// byte-identical to a local run's.
+				return s.clusterCampaign(spec, onProgress)
+			}
+			eng := campaign.New(s.cfg.Runner, s.cfg.Store)
+			eng.OnProgress = onProgress
+			return eng.Run(context.Background(), spec)
+		},
+		started: &s.campaignsTotal, running: &s.campaignsRunning, unitsDone: &s.campaignTrialsDone,
 	}
-	return resp
-}
-
-func (j *campaignJob) running() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status == "running"
-}
-
-// acquireAllBackground is acquireAll for background jobs: it waits
-// indefinitely on the sweep turnstile, then drains every concurrency
-// slot, so a running campaign keeps machine-wide simulation concurrency
-// at the runner's width exactly like a sweep does. Admission control
-// happened at POST time (the running-job map is the visible queue), so
-// there is no waiting-room bound or request context to honour here.
-func (s *Server) acquireAllBackground() func() {
-	s.sweepSem <- struct{}{}
-	for i := 0; i < cap(s.slots); i++ {
-		s.slots <- struct{}{}
-	}
-	s.inFlight.Add(1)
-	return func() {
-		for i := 0; i < cap(s.slots); i++ {
-			<-s.slots
-		}
-		<-s.sweepSem
-		s.inFlight.Add(-1)
-	}
-}
-
-func (s *Server) handleCampaignPost(w http.ResponseWriter, r *http.Request) {
-	var cr CampaignRequest
-	if err := decodeJSON(r, &cr); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, err := cr.Spec(s.cfg.Scale)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := campaign.KeyOf(spec)
-
-	s.campMu.Lock()
-	if job, ok := s.campaigns[key]; ok && job.running() {
-		s.campMu.Unlock()
-		writeJSON(w, http.StatusAccepted, job.response(key))
-		return
-	}
-	s.campMu.Unlock()
-
-	// Store probe outside campMu: decoding a large stored report must
-	// not stall progress polls.
-	if rep, ok, err := s.loader.LoadReport(key); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	} else if ok {
-		s.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, CampaignResponse{Key: key, Status: "done",
-			Done: rep.Trials, Total: rep.Trials, Cached: true, Report: rep})
-		return
-	}
-
-	s.campMu.Lock()
-	// Re-check under the lock: a concurrent POST may have started the
-	// campaign while the store was probed.
-	if job, ok := s.campaigns[key]; ok && job.running() {
-		s.campMu.Unlock()
-		writeJSON(w, http.StatusAccepted, job.response(key))
-		return
-	}
-	// Admission is multi-tenant: running campaigns and explorations
-	// share the one QueueDepth; failed tombstones stay visible to GET
-	// but must not eat queue slots forever.
-	if s.backgroundJobsLocked() >= s.cfg.QueueDepth {
-		s.campMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, errQueueFull)
-		return
-	}
-	// A failed tombstone for this key is superseded by the restart
-	// (trials that did complete were persisted, so the restart resumes).
-	job := &campaignJob{status: "running", total: spec.Trials}
-	s.campaigns[key] = job
-	s.campMu.Unlock()
-
-	s.campaignsTotal.Add(1)
-	s.campaignsRunning.Add(1)
-	go s.runCampaign(key, job, spec)
-	writeJSON(w, http.StatusAccepted, job.response(key))
-}
-
-// runCampaign executes one background campaign to completion. The
-// daemon's graceful shutdown does not wait for it: completed trials are
-// already on disk, so the next POST of the same spec resumes.
-func (s *Server) runCampaign(key string, job *campaignJob, spec campaign.Spec) {
-	defer s.campaignsRunning.Add(-1)
-	onProgress := func(done, total int) {
-		job.mu.Lock()
-		if delta := done - job.done; delta > 0 {
-			s.campaignTrialsDone.Add(int64(delta))
-		}
-		if done > job.done {
-			job.done = done
-		}
-		job.total = total
-		job.mu.Unlock()
-	}
-	var rep *campaign.Report
-	var err error
-	if s.coord != nil {
-		// Coordinator role: the cluster shards the trials across the
-		// in-process worker and any remote workers; the report the
-		// coordinator assembles from their records is byte-identical to
-		// a local run's. Admission happens in the worker loop, not here.
-		rep, err = s.clusterCampaign(spec, onProgress)
-	} else {
-		release := s.acquireAllBackground()
-		eng := campaign.New(s.cfg.Runner, s.cfg.Store)
-		eng.OnProgress = onProgress
-		rep, err = eng.Run(context.Background(), spec)
-		release()
-	}
-
-	s.campMu.Lock()
-	defer s.campMu.Unlock()
-	if err != nil {
-		job.mu.Lock()
-		job.status, job.err = "failed", err
-		job.mu.Unlock()
-		return
-	}
-	job.progress(rep.Trials, rep.Trials)
-	// Done: the stored report is now the source of truth.
-	delete(s.campaigns, key)
-}
-
-func (s *Server) handleCampaignGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	s.campMu.Lock()
-	job, ok := s.campaigns[key]
-	s.campMu.Unlock()
-	if ok {
-		writeJSON(w, http.StatusOK, job.response(key))
-		return
-	}
-	rep, found, err := s.loader.LoadReport(key)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if !found {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no campaign stored under %q", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, CampaignResponse{Key: key, Status: "done",
-		Done: rep.Trials, Total: rep.Trials, Cached: true, Report: rep})
 }

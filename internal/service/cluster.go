@@ -64,10 +64,10 @@ func (s *Server) initCluster() error {
 	}
 	s.coord = coord
 
-	s.mux.HandleFunc("POST /v1/cluster/join", s.handleClusterJoin)
+	s.mux.HandleFunc("POST /v1/cluster/join", clusterCall(coord.Join))
 	s.mux.HandleFunc("POST /v1/cluster/lease", s.handleClusterLease)
-	s.mux.HandleFunc("POST /v1/cluster/complete", s.handleClusterComplete)
-	s.mux.HandleFunc("POST /v1/cluster/heartbeat", s.handleClusterHeartbeat)
+	s.mux.HandleFunc("POST /v1/cluster/complete", clusterCall(coord.Complete))
+	s.mux.HandleFunc("POST /v1/cluster/heartbeat", clusterCall(coord.Heartbeat))
 	s.mux.HandleFunc("GET /v1/store/ns/{path...}", s.handleStoreNSGet)
 	s.mux.HandleFunc("PUT /v1/store/ns/{path...}", s.handleStoreNSPut)
 	s.mux.HandleFunc("PUT /v1/store/runs/{key}", s.handleStoreRunPut)
@@ -173,14 +173,17 @@ func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 
 // --- cluster protocol handlers ---------------------------------------------
 
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	var req cluster.JoinRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// clusterCall serves one cluster protocol endpoint: decode the
+// request, answer with the coordinator's reply.
+func clusterCall[Q, A any](call func(Q) A) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Q
+		if err := decodeJSON(r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, call(req))
 	}
-	resp := s.coord.Join(req)
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
@@ -194,24 +197,6 @@ func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.coord.Lease(req))
-}
-
-func (s *Server) handleClusterComplete(w http.ResponseWriter, r *http.Request) {
-	var req cluster.CompleteRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.coord.Complete(req))
-}
-
-func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req cluster.HeartbeatRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.coord.Heartbeat(req))
 }
 
 // --- store proxy -----------------------------------------------------------
@@ -298,10 +283,10 @@ func (s *Server) handleStoreRunPut(w http.ResponseWriter, r *http.Request) {
 
 // --- cluster-routed execution ----------------------------------------------
 
-// clusterSweep runs the missing cells of a sweep through the
-// coordinator: submit, wake the in-process worker, wait. The request's
-// cancellation abandons the wait, not the job — a re-request joins it.
-func (s *Server) clusterSweep(r *http.Request, specs []harness.Spec) error {
+// clusterSweep runs sweep cells through the coordinator: submit, wake
+// the in-process worker, wait. ctx's cancellation abandons the wait,
+// not the job — a re-request joins it.
+func (s *Server) clusterSweep(ctx context.Context, specs []harness.Spec) error {
 	j, err := s.coord.SubmitSweep(specs)
 	if err != nil {
 		return err
@@ -310,8 +295,8 @@ func (s *Server) clusterSweep(r *http.Request, specs []harness.Spec) error {
 	select {
 	case <-j.Done():
 		return j.Err()
-	case <-r.Context().Done():
-		return r.Context().Err()
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

@@ -1,25 +1,19 @@
 package service
 
-// The scheme-space exploration endpoints. An exploration is a closed
-// loop of campaigns and fault-free runs — far past request size — so
-// the API mirrors the campaign one: POST /v1/explore validates, starts
-// (or joins) the exploration in the background and answers immediately
-// with its content-address key and progress; GET /v1/explore/{key}
-// polls progress and, once finished, returns the stored
-// FrontierReport. Cell evaluations persist through the shared
-// explore/cells namespace and the report through explore/reports, so a
-// daemon killed mid-exploration resumes on the next POST, a finished
-// exploration is served from disk forever, and two explorations whose
-// spaces intersect share the intersection's evaluations. Progress and
-// economics are visible in /metrics (explores_running,
-// explore_cells_done, explore_cells_evaluated,
-// explore_cells_from_store).
+// The scheme-space exploration job kind: POST /v1/explore and GET
+// /v1/explore/{key}, with the lifecycle every background job shares
+// (jobs.go). An exploration is a closed loop of campaigns and
+// fault-free runs; its units are cell evaluations. They persist
+// through the shared explore/cells namespace and the report through
+// explore/reports, so a daemon killed mid-exploration resumes from its
+// evaluated cells, and two explorations whose spaces intersect share
+// the intersection's evaluations. Progress and economics are visible
+// in /metrics (explores_running, explore_cells_done,
+// explore_cells_evaluated, explore_cells_from_store).
 
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/explore"
@@ -72,184 +66,29 @@ func (er ExploreRequest) Spec(def harness.Scale) (explore.Spec, error) {
 	return es.Normalize(), nil
 }
 
-// ExploreResponse answers both exploration endpoints.
-type ExploreResponse struct {
-	Key string `json:"key"`
-	// Status is "running", "done" or "failed".
-	Status string `json:"status"`
-	// Done/Total count cell evaluations across the strategy's rung
-	// schedule (cells served from the store count as done).
-	Done  int `json:"done"`
-	Total int `json:"total"`
-	// Cached is true when the report was served from the store without
-	// evaluating anything for this request.
-	Cached bool                    `json:"cached,omitempty"`
-	Report *explore.FrontierReport `json:"report,omitempty"`
-	Error  string                  `json:"error,omitempty"`
-}
+// ExploreResponse answers both exploration endpoints. Done/Total count
+// cell evaluations across the strategy's rung schedule.
+type ExploreResponse = JobResponse[explore.FrontierReport]
 
-// exploreJob tracks one background exploration. Running and failed
-// jobs live in the server's explores map (guarded by campMu, shared
-// with campaigns so admission can count both under one lock); finished
-// ones are dropped — their report lives in the store.
-type exploreJob struct {
-	mu     sync.Mutex
-	status string // "running" | "failed"
-	done   int
-	total  int
-	err    error
-}
-
-func (j *exploreJob) progress(done, total int) {
-	j.mu.Lock()
-	j.done, j.total = done, total
-	j.mu.Unlock()
-}
-
-func (j *exploreJob) response(key string) ExploreResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	resp := ExploreResponse{Key: key, Status: j.status, Done: j.done, Total: j.total}
-	if j.err != nil {
-		resp.Error = j.err.Error()
+// exploreKind defines the exploration job kind.
+func (s *Server) exploreKind() *jobKind[ExploreRequest, explore.Spec, explore.FrontierReport] {
+	return &jobKind[ExploreRequest, explore.Spec, explore.FrontierReport]{
+		s: s, path: "/v1/explore", noun: "exploration",
+		keyOf: explore.KeyOf,
+		load:  s.expLoader.LoadReport,
+		start: func(spec explore.Spec) int { return len(spec.Cells()) * len(explore.RungSchedule(spec)) },
+		total: func(rep *explore.FrontierReport) int { return len(rep.Spec.Cells()) * len(rep.Rungs) },
+		run: func(spec explore.Spec, onProgress func(done, total int)) (*explore.FrontierReport, error) {
+			ex := explore.New(s.exploreEvaluator(), s.cfg.Store)
+			ex.OnProgress = onProgress
+			rep, err := ex.Run(context.Background(), spec)
+			ev, fs, _ := ex.Counters()
+			s.exploreCellsEvaluated.Add(int64(ev))
+			s.exploreCellsFromStore.Add(int64(fs))
+			return rep, err
+		},
+		started: &s.exploresTotal, running: &s.exploresRunning, unitsDone: &s.exploreCellsDone,
 	}
-	return resp
-}
-
-func (j *exploreJob) running() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status == "running"
-}
-
-// backgroundJobs counts the running background jobs of every kind —
-// the multi-tenant admission quantity POSTs compare against
-// QueueDepth. Caller holds campMu.
-func (s *Server) backgroundJobsLocked() int {
-	n := 0
-	for _, j := range s.campaigns {
-		if j.running() {
-			n++
-		}
-	}
-	for _, j := range s.explores {
-		if j.running() {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Server) handleExplorePost(w http.ResponseWriter, r *http.Request) {
-	var er ExploreRequest
-	if err := decodeJSON(r, &er); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, err := er.Spec(s.cfg.Scale)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := explore.KeyOf(spec)
-
-	s.campMu.Lock()
-	if job, ok := s.explores[key]; ok && job.running() {
-		s.campMu.Unlock()
-		writeJSON(w, http.StatusAccepted, job.response(key))
-		return
-	}
-	s.campMu.Unlock()
-
-	// Store probe outside campMu: decoding a stored report must not
-	// stall progress polls.
-	if rep, ok, err := s.expLoader.LoadReport(key); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	} else if ok {
-		s.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, doneExploreResponse(key, rep))
-		return
-	}
-
-	s.campMu.Lock()
-	// Re-check under the lock: a concurrent POST may have started the
-	// exploration while the store was probed.
-	if job, ok := s.explores[key]; ok && job.running() {
-		s.campMu.Unlock()
-		writeJSON(w, http.StatusAccepted, job.response(key))
-		return
-	}
-	// Admission is shared with campaigns: running background jobs of
-	// both kinds count against the one QueueDepth; failed tombstones
-	// stay visible to GET but never eat queue slots.
-	if s.backgroundJobsLocked() >= s.cfg.QueueDepth {
-		s.campMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, errQueueFull)
-		return
-	}
-	// A failed tombstone for this key is superseded by the restart
-	// (cells that did complete were persisted, so the restart resumes).
-	job := &exploreJob{status: "running",
-		total: len(spec.Cells()) * len(explore.RungSchedule(spec))}
-	s.explores[key] = job
-	s.campMu.Unlock()
-
-	s.exploresTotal.Add(1)
-	s.exploresRunning.Add(1)
-	go s.runExplore(key, job, spec)
-	writeJSON(w, http.StatusAccepted, job.response(key))
-}
-
-func doneExploreResponse(key string, rep *explore.FrontierReport) ExploreResponse {
-	total := len(rep.Spec.Cells()) * len(rep.Rungs)
-	return ExploreResponse{Key: key, Status: "done",
-		Done: total, Total: total, Cached: true, Report: rep}
-}
-
-// runExplore executes one background exploration to completion. The
-// daemon's graceful shutdown does not wait for it: evaluated cells are
-// already on disk, so the next POST of the same spec resumes.
-func (s *Server) runExplore(key string, job *exploreJob, spec explore.Spec) {
-	defer s.exploresRunning.Add(-1)
-	ex := explore.New(s.exploreEvaluator(), s.cfg.Store)
-	ex.OnProgress = func(done, total int) {
-		job.mu.Lock()
-		if delta := done - job.done; delta > 0 {
-			s.exploreCellsDone.Add(int64(delta))
-		}
-		if done > job.done {
-			job.done = done
-		}
-		job.total = total
-		job.mu.Unlock()
-	}
-
-	var err error
-	if s.coord != nil {
-		// Coordinator role: every cell evaluation routes through the
-		// cluster (campaigns and fault-free runs both), so remote
-		// workers share the load; admission happens in the worker loop.
-		_, err = ex.Run(context.Background(), spec)
-	} else {
-		release := s.acquireAllBackground()
-		_, err = ex.Run(context.Background(), spec)
-		release()
-	}
-	ev, fs, _ := ex.Counters()
-	s.exploreCellsEvaluated.Add(int64(ev))
-	s.exploreCellsFromStore.Add(int64(fs))
-
-	s.campMu.Lock()
-	defer s.campMu.Unlock()
-	if err != nil {
-		job.mu.Lock()
-		job.status, job.err = "failed", err
-		job.mu.Unlock()
-		return
-	}
-	// Done: the stored report is now the source of truth.
-	delete(s.explores, key)
 }
 
 // exploreEvaluator picks where an exploration's simulations run: in
@@ -278,17 +117,7 @@ func (ce *clusterEvaluator) Run(ctx context.Context, spec harness.Spec) (harness
 	if rec, ok, _ := ce.s.cfg.Store.GetSpec(spec); ok {
 		return rec.Result(), nil
 	}
-	j, err := ce.s.coord.SubmitSweep([]harness.Spec{spec})
-	if err != nil {
-		return harness.Result{}, err
-	}
-	ce.s.kickWorker()
-	select {
-	case <-j.Done():
-	case <-ctx.Done():
-		return harness.Result{}, ctx.Err()
-	}
-	if err := j.Err(); err != nil {
+	if err := ce.s.clusterSweep(ctx, []harness.Spec{spec}); err != nil {
 		return harness.Result{}, err
 	}
 	rec, ok, err := ce.s.cfg.Store.GetSpec(spec)
@@ -299,25 +128,4 @@ func (ce *clusterEvaluator) Run(ctx context.Context, spec harness.Spec) (harness
 		return harness.Result{}, fmt.Errorf("service: explore cell %s completed but stored no record", store.KeyOf(spec))
 	}
 	return rec.Result(), nil
-}
-
-func (s *Server) handleExploreGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	s.campMu.Lock()
-	job, ok := s.explores[key]
-	s.campMu.Unlock()
-	if ok {
-		writeJSON(w, http.StatusOK, job.response(key))
-		return
-	}
-	rep, found, err := s.expLoader.LoadReport(key)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if !found {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no exploration stored under %q", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, doneExploreResponse(key, rep))
 }

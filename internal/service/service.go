@@ -12,19 +12,22 @@
 //	                          (served zero-copy; ETag = key, 304 on
 //	                          If-None-Match revalidation)
 //	POST /v1/sweeps           a named figure (e.g. "fig6.2") or Spec list
-//	POST /v1/campaigns        start/resume a fault campaign (async)
+//	POST /v1/campaigns        start/resume a fault campaign (background job)
 //	GET  /v1/campaigns/{key}  campaign progress, or the finished Report
-//	POST /v1/explore          start/resume a scheme-space exploration (async)
+//	POST /v1/explore          start/resume a scheme-space exploration (background job)
 //	GET  /v1/explore/{key}    exploration progress, or the FrontierReport
 //	GET  /healthz             liveness
 //	GET  /metrics             expvar counters (cache, queue, in-flight,
-//	                          campaign progress)
+//	                          job progress)
 //
 // Request validation goes through harness.Spec.Validate, identical
 // in-flight Specs are deduplicated (singleflight: the second request
 // waits for the first simulation instead of taking a queue slot), and
 // a request whose context is cancelled while queued frees its slot
 // without starting the cell.
+//
+// Campaigns and explorations are background jobs with one lifecycle
+// and one admission queue (jobs.go); SubmitAndPoll is their client.
 package service
 
 import (
@@ -33,6 +36,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -86,18 +90,12 @@ type Server struct {
 	mu     sync.Mutex
 	flight map[string]*call
 
-	// Campaign state (campaign.go): running/failed background jobs by
-	// campaign key, and the engine used to load stored reports. campMu
-	// also guards the exploration job map (explore.go) so admission can
-	// count every background job under one lock.
-	campMu    sync.Mutex
-	campaigns map[string]*campaignJob
+	// Background jobs (jobs.go): running and failed campaigns and
+	// explorations under one lock, so admission counts every kind
+	// together, plus the loaders for their stored reports.
+	jobsMu    sync.Mutex
+	jobs      map[string]*job // by endpoint path + "/" + key
 	loader    *campaign.Engine
-
-	// Exploration state (explore.go): running/failed background
-	// explorations by exploration key, and the loader for stored
-	// frontier reports.
-	explores  map[string]*exploreJob
 	expLoader *explore.Explorer
 
 	// Cluster state (cluster.go), nil/zero for RoleSingle: the
@@ -164,18 +162,15 @@ func New(cfg Config) (*Server, error) {
 		sweepSem:  make(chan struct{}, 1),
 		start:     time.Now(),
 		flight:    make(map[string]*call),
-		campaigns: make(map[string]*campaignJob),
+		jobs:      make(map[string]*job),
 		loader:    campaign.New(cfg.Runner, cfg.Store),
-		explores:  make(map[string]*exploreJob),
 		expLoader: explore.New(nil, cfg.Store),
 	}
 	s.mux.HandleFunc("POST /v1/runs", s.handleRun)
 	s.mux.HandleFunc("GET /v1/runs/{key}", s.handleGetRun)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/campaigns", s.handleCampaignPost)
-	s.mux.HandleFunc("GET /v1/campaigns/{key}", s.handleCampaignGet)
-	s.mux.HandleFunc("POST /v1/explore", s.handleExplorePost)
-	s.mux.HandleFunc("GET /v1/explore/{key}", s.handleExploreGet)
+	s.campaignKind().register()
+	s.exploreKind().register()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.jobKick = make(chan struct{}, 1)
@@ -273,34 +268,41 @@ type errorResponse struct {
 
 // --- admission queue -------------------------------------------------------
 
-// acquire admits one job: it takes a concurrency slot, waiting in the
-// bounded queue if all slots are busy. It returns the release func, or
-// an error when the queue is full or ctx is cancelled while waiting —
-// in both cases no slot is held (a cancelled request frees its place
-// in line immediately).
+// enter takes a token of sem, waiting in the bounded waiting room if
+// none is free. It fails with errQueueFull when the waiting room is
+// full, or with ctx's error when ctx is cancelled while waiting — in
+// both cases holding nothing (a cancelled request frees its place in
+// line immediately).
+func (s *Server) enter(ctx context.Context, sem chan struct{}) error {
+	select {
+	case sem <- struct{}{}:
+		return nil
+	default:
+	}
+	// Busy: take a waiting-room token. The buffered channel enforces
+	// the bound atomically — a burst larger than QueueDepth gets
+	// errQueueFull, never an over-long queue.
+	select {
+	case s.waitq <- struct{}{}:
+	default:
+		return errQueueFull
+	}
+	s.queued.Add(1)
+	defer func() { s.queued.Add(-1); <-s.waitq }()
+	select {
+	case sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// acquire admits one job: it takes a concurrency slot (see enter) and
+// returns the release func.
 func (s *Server) acquire(r *http.Request) (func(), error) {
 	ctx := r.Context()
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		// All slots busy: take a waiting-room token. The buffered
-		// channel enforces the bound atomically — a burst larger than
-		// QueueDepth gets errQueueFull, never an over-long queue.
-		select {
-		case s.waitq <- struct{}{}:
-		default:
-			return nil, errQueueFull
-		}
-		s.queued.Add(1)
-		select {
-		case s.slots <- struct{}{}:
-			s.queued.Add(-1)
-			<-s.waitq
-		case <-ctx.Done():
-			s.queued.Add(-1)
-			<-s.waitq
-			return nil, ctx.Err()
-		}
+	if err := s.enter(ctx, s.slots); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		<-s.slots
@@ -320,26 +322,28 @@ func (s *Server) acquire(r *http.Request) (func(), error) {
 // width. Only one sweep drains at a time (the turnstile), so two
 // sweeps can never deadlock holding half the slots each.
 func (s *Server) acquireAll(r *http.Request) (func(), error) {
-	ctx := r.Context()
-	select {
-	case s.sweepSem <- struct{}{}:
-	default:
-		select {
-		case s.waitq <- struct{}{}:
-		default:
-			return nil, errQueueFull
-		}
-		s.queued.Add(1)
-		select {
-		case s.sweepSem <- struct{}{}:
-			s.queued.Add(-1)
-			<-s.waitq
-		case <-ctx.Done():
-			s.queued.Add(-1)
-			<-s.waitq
-			return nil, ctx.Err()
-		}
+	if err := s.enter(r.Context(), s.sweepSem); err != nil {
+		return nil, err
 	}
+	return s.drainSlots(r.Context())
+}
+
+// acquireAllBackground is acquireAll for background jobs: it waits
+// indefinitely on the sweep turnstile, then drains every concurrency
+// slot, so a running job keeps machine-wide simulation concurrency at
+// the runner's width exactly like a sweep does. Admission control
+// happened at POST time (the running-job map is the visible queue), so
+// there is no waiting-room bound or request context to honour here.
+func (s *Server) acquireAllBackground() func() {
+	s.sweepSem <- struct{}{}
+	release, _ := s.drainSlots(context.Background())
+	return release
+}
+
+// drainSlots takes every concurrency slot for the holder of the sweep
+// turnstile. On ctx's cancellation it gives back the slots it took and
+// the turnstile.
+func (s *Server) drainSlots(ctx context.Context) (func(), error) {
 	taken := 0
 	giveBack := func() {
 		for i := 0; i < taken; i++ {
@@ -609,7 +613,7 @@ func (s *Server) runSweep(r *http.Request, figure string, sc harness.Scale, spec
 		// and every record lands in the shared store before the job
 		// completes. The response is then read back from the store,
 		// exactly as a single-node run would have written it.
-		if err := s.clusterSweep(r, missing); err != nil {
+		if err := s.clusterSweep(r.Context(), missing); err != nil {
 			return nil, err
 		}
 		for _, spec := range missing {
@@ -710,11 +714,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // maxBodyBytes bounds request bodies; spec lists are small.
 const maxBodyBytes = 1 << 20
 
+// decodeJSON decodes a request body holding exactly one JSON value;
+// trailing whitespace is allowed, trailing data is not.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errors.New("invalid request body: trailing data after the JSON value")
 	}
 	return nil
 }
