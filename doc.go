@@ -28,14 +28,14 @@
 // complete mutable state (the event queue is saved as data: pending
 // step/drain events carry sim.Tags and are re-bound to their closures
 // on restore) and machine.Restore rewinds a live machine to it in
-// place, without reallocating; machine.Reset recycles a machine's
-// every allocation for a fresh run under a new scheme. On top of
-// these, the harness Runner pools whole machines by harness.ReuseKey
-// (cells differing only in scheme recycle one machine), and the
-// campaign engine warms a machine once per worker and restores it per
-// trial. Equivalence is load-bearing and proven: restored, reset and
-// freshly-built machines produce byte-identical statistics
-// (internal/harness snapshot and reset-reuse suites).
+// place, without reallocating. There is one way to start a
+// simulation: harness.Build constructs a fresh machine for a Spec (the
+// harness Runner builds every cell this way), and the campaign engine
+// warms one machine, snapshots it, and forks and restores that warm
+// state per trial instead of re-warming. Equivalence is load-bearing
+// and proven: restored, forked and freshly-built machines produce
+// byte-identical statistics (the internal/harness snapshot suite and
+// the internal/campaign executor-equivalence suites).
 //
 // On top of the runner sit the service layers of cmd/reboundd,
 // simulation-as-a-service: internal/store is a content-addressed

@@ -94,41 +94,6 @@ func (l *Line) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Arena is a reusable backing store for cache line arrays. A simulation
-// cell allocates several hundred KB of cache lines; sweeping thousands
-// of cells re-uses one arena per worker (harness.Runner keeps them in a
-// sync.Pool) instead of churning the GC. The zero value is ready.
-type Arena struct {
-	buf []Line
-	off int
-}
-
-// Reset makes the whole arena available again. The previous cell's
-// caches must be dead (the harness recycles an arena only after its
-// machine is unreachable).
-func (a *Arena) Reset() { a.off = 0 }
-
-// take returns n zeroed lines backed by the arena.
-func (a *Arena) take(n int) []Line {
-	if a.off+n > len(a.buf) {
-		if a.off+n <= cap(a.buf) {
-			a.buf = a.buf[:a.off+n]
-		} else {
-			// Grow with headroom so filling a fresh arena (one take per
-			// cache) extends in place instead of reallocating per call.
-			// No copy of the handed-out prefix: earlier caches keep
-			// their (still live) slices of the old backing array, and
-			// nothing reads the prefix through the arena itself.
-			need := a.off + n
-			a.buf = make([]Line, need, 2*need)
-		}
-	}
-	s := a.buf[a.off : a.off+n : a.off+n]
-	a.off += n
-	clear(s) // previous cell's contents must not leak into this one
-	return s
-}
-
 // Cache is a set-associative, LRU cache. Addresses are line-granular.
 // Lines are stored in one flat slice (set i occupies lines[i*ways :
 // (i+1)*ways]) for locality and a single allocation.
@@ -142,12 +107,6 @@ type Cache struct {
 // New builds a cache of sizeBytes capacity with the given associativity
 // and line size. nsets is forced to a power of two.
 func New(sizeBytes, ways, lineBytes int) *Cache {
-	return NewIn(nil, sizeBytes, ways, lineBytes)
-}
-
-// NewIn is New with the line array taken from arena (nil means a fresh
-// heap allocation).
-func NewIn(arena *Arena, sizeBytes, ways, lineBytes int) *Cache {
 	if ways < 1 || lineBytes < 1 || sizeBytes < ways*lineBytes {
 		panic("cache: bad geometry")
 	}
@@ -158,13 +117,7 @@ func NewIn(arena *Arena, sizeBytes, ways, lineBytes int) *Cache {
 		p *= 2
 	}
 	nsets = p
-	c := &Cache{nsets: nsets, ways: ways}
-	if arena != nil {
-		c.lines = arena.take(nsets * ways)
-	} else {
-		c.lines = make([]Line, nsets*ways)
-	}
-	return c
+	return &Cache{lines: make([]Line, nsets*ways), nsets: nsets, ways: ways}
 }
 
 // Sets and Ways expose the geometry.
@@ -298,13 +251,6 @@ func (c *Cache) Load(s *Snapshot) {
 	}
 	copy(c.lines, s.Lines)
 	c.lruTick = s.LruTick
-}
-
-// Reset returns the cache to its just-constructed state (all lines
-// invalid, LRU clock zero), keeping the line array.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	c.lruTick = 0
 }
 
 // CountDirty returns the number of dirty lines.

@@ -37,7 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/machine"
@@ -290,12 +289,13 @@ func runPhase(m *machine.Machine, spec Spec, index int) Trial {
 // RunTrial executes one trial on the calling goroutine, building and
 // warming a fresh machine: the base cell simulated with spec.Faults
 // faults placed by TrialSeed(spec, index). It is the uncached reference
-// executor underneath the Engine — a pure function of (spec, index),
-// with no shared state between invocations (arena only recycles
-// memory; nil means fresh allocations). The TrialRunner produces
+// executor — a pure function of (spec, index), with no shared state
+// between invocations — that the equivalence suites compare the
+// snapshot engine against, and the TrialRunner's fallback for cells
+// that never reach a snapshot-safe point. The TrialRunner produces
 // byte-identical trials without the per-trial rebuild.
-func RunTrial(spec Spec, index int, arena *cache.Arena) (Trial, error) {
-	m, err := harness.BuildIn(arena, spec.Base)
+func RunTrial(spec Spec, index int) (Trial, error) {
+	m, err := harness.Build(spec.Base)
 	if err != nil {
 		return Trial{}, err
 	}
@@ -518,21 +518,14 @@ func (t *TrialRunner) Prewarm(n int) error {
 // Run executes trial index and returns its record: restore the warmed
 // snapshot, run the fault scenario — or the fresh-build fallback when
 // the cell cannot be snapshotted.
-func (t *TrialRunner) Run(index int) (Trial, error) { return t.RunIn(index, nil) }
-
-// RunIn is Run with an arena for the fresh-build fallback: when the
-// cell never reaches a snapshot-safe point, every trial builds its own
-// machine, and the arena recycles those builds' cache arrays exactly
-// as the pre-snapshot executor did. Pooled (snapshottable) machines
-// never touch the arena — they outlive its reset.
-func (t *TrialRunner) RunIn(index int, arena *cache.Arena) (Trial, error) {
+func (t *TrialRunner) Run(index int) (Trial, error) {
 	m, ok, err := t.acquire()
 	if err != nil {
 		return Trial{}, err
 	}
 	if !ok {
 		t.fresh.Add(1)
-		return RunTrial(t.spec, index, arena)
+		return RunTrial(t.spec, index)
 	}
 	if err := m.Restore(t.snap); err != nil {
 		return Trial{}, err
@@ -687,10 +680,10 @@ func Assemble(spec Spec, trials []Trial) (*Report, error) {
 }
 
 // Engine runs campaigns: trials fan out across a harness.Runner's
-// worker pool (sharing its arena pooling), and — when a store is
-// attached — each finished trial and the final report persist under
-// the campaign's content address, so interrupted campaigns resume and
-// finished ones are served from disk.
+// worker pool on one TrialRunner (the snapshot engine), and — when a
+// store is attached — each finished trial and the final report persist
+// under the campaign's content address, so interrupted campaigns resume
+// and finished ones are served from disk.
 type Engine struct {
 	runner *harness.Runner
 	st     *store.Store
@@ -699,11 +692,6 @@ type Engine struct {
 	// total, counting trials restored from the store. It is called from
 	// worker goroutines and must be safe for concurrent use.
 	OnProgress func(done, total int)
-
-	// FreshBuild forces every trial through the build-and-warm reference
-	// executor instead of the snapshot engine. The acceptance suite runs
-	// both and diffs the Reports; production campaigns leave it false.
-	FreshBuild bool
 }
 
 // New returns an engine running on runner. st may be nil for an
@@ -802,13 +790,10 @@ func (e *Engine) run(ctx context.Context, spec Spec, serial bool) (*Report, erro
 			missing = append(missing, i)
 		}
 	}
-	var trunner *TrialRunner
-	if !e.FreshBuild {
-		// The runner shares the engine's store, so the warm snapshot
-		// persists across process restarts: a resumed campaign re-warms
-		// nothing, it loads the snapshot and forks.
-		trunner = NewTrialRunnerStored(spec, e.st)
-	}
+	// The runner shares the engine's store, so the warm snapshot
+	// persists across process restarts: a resumed campaign re-warms
+	// nothing, it loads the snapshot and forks.
+	trunner := NewTrialRunnerStored(spec, e.st)
 	runOne := func(i int) (err error) {
 		// Contain simulator panics the way Runner.RunOne does (a config
 		// that passes Validate but panics in the machine): a campaign
@@ -820,16 +805,10 @@ func (e *Engine) run(ctx context.Context, spec Spec, serial bool) (*Report, erro
 				err = fmt.Errorf("campaign: trial %d: panic: %v", i, p)
 			}
 		}()
-		var tr Trial
-		if trunner != nil {
-			// Snapshot engine: warm once per pooled machine, restore per
-			// trial (a panicking trial abandons its machine, so the pool
-			// never holds corrupted state). The arena only serves the
-			// fresh-build fallback of non-snapshottable cells.
-			e.runner.WithArena(func(a *cache.Arena) { tr, err = trunner.RunIn(i, a) })
-		} else {
-			e.runner.WithArena(func(a *cache.Arena) { tr, err = RunTrial(spec, i, a) })
-		}
+		// Snapshot engine: warm once per pooled machine, restore per
+		// trial (a panicking trial abandons its machine, so the pool
+		// never holds corrupted state).
+		tr, err := trunner.Run(i)
 		if err != nil {
 			return err
 		}
@@ -843,7 +822,7 @@ func (e *Engine) run(ctx context.Context, spec Spec, serial bool) (*Report, erro
 		return nil
 	}
 
-	if trunner != nil && !serial && len(missing) > 1 {
+	if !serial && len(missing) > 1 {
 		// Populate the fork pool before fanning out: one warmup (or one
 		// store load), then one copy-on-write fork per worker. Without
 		// this the first wave of trials still forks lazily and

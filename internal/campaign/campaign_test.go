@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/harness"
 	"repro/internal/store"
 )
@@ -82,27 +81,21 @@ func TestTrialSeedsDistinctAndStable(t *testing.T) {
 	}
 }
 
-func TestRunTrialDeterministicAcrossArenaReuse(t *testing.T) {
+func TestRunTrialDeterministic(t *testing.T) {
 	spec := testSpec(1)
-	a, err := RunTrial(spec, 0, nil)
+	a, err := RunTrial(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second execution through a dirtied, reset arena: recycling the
-	// cache arrays must not change a single field.
-	arena := new(cache.Arena)
-	if _, err := RunTrial(spec, 3, arena); err != nil {
-		t.Fatalf("arena warm-up trial: %v", err)
-	}
-	arena.Reset()
-	b, err := RunTrial(spec, 0, arena)
+	// A second, independent execution must not differ in a single field.
+	b, err := RunTrial(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aj, _ := json.Marshal(a)
 	bj, _ := json.Marshal(b)
 	if !bytes.Equal(aj, bj) {
-		t.Fatalf("trial 0 differs across arena reuse:\n%s\n%s", aj, bj)
+		t.Fatalf("trial 0 differs across two runs:\n%s\n%s", aj, bj)
 	}
 	if !a.VerifyOK {
 		t.Fatalf("trial 0 failed verification: %s", a.VerifyError)
@@ -124,13 +117,17 @@ func TestCampaignByteIdentity(t *testing.T) {
 	}
 	spec := testSpec(200)
 
-	// Reference executor: every trial builds and warms its own machine.
-	freshEng := New(harness.NewRunner(1), nil)
-	freshEng.FreshBuild = true
-	fresh, err := freshEng.RunSerial(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	// Reference executor: every trial builds and warms its own machine,
+	// in index order.
+	refTrials := make([]Trial, spec.Trials)
+	for i := range refTrials {
+		tr, err := RunTrial(spec, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refTrials[i] = tr
 	}
+	fresh := buildReport(spec, refTrials)
 
 	ser, err := New(harness.NewRunner(1), nil).RunSerial(context.Background(), spec)
 	if err != nil {
@@ -211,7 +208,7 @@ func TestTrialRunnerMatchesFreshBuildAcrossSchemes(t *testing.T) {
 			spec.Base.Scheme = scheme
 			tr := NewTrialRunner(spec)
 			for i := 0; i < spec.Trials; i++ {
-				want, err := RunTrial(spec, i, nil)
+				want, err := RunTrial(spec, i)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -109,7 +109,7 @@ func TestStoredSnapshotColdStart(t *testing.T) {
 		t.Fatalf("cold-start runner: warmups=%d loads=%d fresh=%d, want 0/1/0", wu, ld, fr)
 	}
 
-	ref, err := RunTrial(spec, 3, nil)
+	ref, err := RunTrial(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestPrewarmForksNotWarmups(t *testing.T) {
 	// Running the campaign's trials afterwards must reuse the pool:
 	// no further warmups, no forks beyond the pool, no fresh fallback.
 	for i := 0; i < spec.Trials; i++ {
-		want, err := RunTrial(spec, i, nil)
+		want, err := RunTrial(spec, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestForkMatchesRestoreAcrossSchemes(t *testing.T) {
 				t.Fatal(err)
 			}
 			restored := runPhase(parent, spec, 1)
-			ref, err := RunTrial(spec, 1, nil)
+			ref, err := RunTrial(spec, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +338,7 @@ func TestConcurrentForksFromOneParent(t *testing.T) {
 	// goroutines below while the others fork from it concurrently.
 	want := make([][]byte, workers)
 	for i := range want {
-		ref, err := RunTrial(spec, i, nil)
+		ref, err := RunTrial(spec, i)
 		if err != nil {
 			t.Fatal(err)
 		}

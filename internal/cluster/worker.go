@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/harness"
 	"repro/internal/retry"
@@ -310,8 +309,7 @@ func (w *Worker) runTrial(runner *campaign.TrialRunner, i int) (tr campaign.Tria
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	w.cfg.Runner.WithArena(func(a *cache.Arena) { tr, err = runner.RunIn(i, a) })
-	return tr, err
+	return runner.Run(i)
 }
 
 // runSweepLease runs the leased sweep cells and pushes their records.

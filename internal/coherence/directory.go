@@ -685,20 +685,6 @@ func (d *Directory) LoadDeltaShard(s *Snapshot, i int) {
 	d.dirty[i].Clear()
 }
 
-// Reset reverts every directory entry to its untouched state in place,
-// for Machine.Reset. The shared line table survives a machine reset,
-// so the arrays keep their length.
-func (d *Directory) Reset() {
-	for i := range d.owner {
-		for k := range d.owner[i] {
-			d.owner[i][k] = noProc
-			d.lwid[i][k] = noProc
-		}
-		clear(d.sharers[i])
-		d.dirty[i].MarkAll()
-	}
-}
-
 // CheckInvariants validates the directory against the actual cache
 // contents: an owned entry has no sharers, and every processor the
 // directory believes holds a copy either holds it or (owner case) may

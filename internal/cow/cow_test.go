@@ -54,8 +54,8 @@ func TestDirtyRunAcrossWordBoundary(t *testing.T) {
 
 func TestDirtyClipsToLength(t *testing.T) {
 	var d Dirty
-	d.Mark(3 * PageSize)        // partially inside n
-	d.Mark(7 * PageSize)        // entirely beyond n
+	d.Mark(3 * PageSize) // partially inside n
+	d.Mark(7 * PageSize) // entirely beyond n
 	n := 3*PageSize + PageSize/2
 	want := []span{{3 * PageSize, n}}
 	if got := collect(&d, n); !reflect.DeepEqual(got, want) {

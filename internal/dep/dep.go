@@ -302,18 +302,6 @@ func (t *Tracker) Load(s *Snapshot) {
 	}
 }
 
-// Reset returns the tracker to its just-constructed state: every set
-// cleared including the cumulative WSIG counters, epoch 0 open.
-func (t *Tracker) Reset() {
-	for _, r := range t.all {
-		r.clear(0)
-		r.WSIG.ResetAll()
-	}
-	t.free = append(t.free[:0], t.all...)
-	t.live = t.live[:0]
-	t.mustOpen(0)
-}
-
 // FalsePositiveStats sums WSIG membership tests and false positives
 // across all register sets (live and free; counters are cumulative).
 func (t *Tracker) FalsePositiveStats() (tests, fps uint64) {

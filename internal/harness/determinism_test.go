@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"testing"
-
-	"repro/internal/cache"
 )
 
 // The determinism suite proves the runner's central claim: a cell's
@@ -40,19 +38,11 @@ func TestRunTwiceIsIdentical(t *testing.T) {
 	// cache between them) must agree on every counter: any hidden
 	// global state in internal/machine or internal/core would diverge.
 	spec := Spec{App: "Ocean", Procs: 4, Scheme: "Rebound", Scale: Quick}
-	a, err := runSpec(spec, nil)
+	a, err := runSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second run goes through a dirtied, reset arena: reusing the
-	// backing arrays must not change a single counter.
-	arena := new(cache.Arena)
-	warm, err := runSpec(Spec{App: "FFT", Procs: 4, Scheme: "Global", Scale: Quick}, arena)
-	if err != nil || warm.St == nil {
-		t.Fatalf("arena warm-up failed: %v", err)
-	}
-	arena.Reset()
-	b, err := runSpec(spec, arena)
+	b, err := runSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,7 +291,7 @@ func Fig66(sc Scale) []TableData {
 	engT := TableData{Title: "Figure 6.6(b): energy increase due to checkpointing vs processor count",
 		Unit: "% over no-checkpointing", Columns: schemes}
 	recT := TableData{Title: "Figure 6.6(c): fault recovery latency vs processor count",
-		Unit: "ms at 1 GHz", Columns: schemes}
+		Unit: "µs at 1 GHz", Columns: schemes}
 	for _, n := range fig66Counts(sc) {
 		ovhRow := TableRow{Label: fmt.Sprintf("%d procs", n)}
 		engRow := ovhRow
@@ -311,7 +311,7 @@ func Fig66(sc Scale) []TableData {
 			k := float64(len(fig66Apps()))
 			ovhRow.Values = append(ovhRow.Values, ovhSum/k*100)
 			engRow.Values = append(engRow.Values, engSum/k)
-			recRow.Values = append(recRow.Values, recSum/k)
+			recRow.Values = append(recRow.Values, recSum/k*1000) // ms -> µs
 		}
 		ovhT.Rows = append(ovhT.Rows, ovhRow)
 		engT.Rows = append(engT.Rows, engRow)

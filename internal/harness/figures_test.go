@@ -35,6 +35,7 @@ func TestFiguresGolden(t *testing.T) {
 		run    func(Scale) []TableData
 		heavy  bool
 		tables []tableExp
+		check  func(*testing.T, []TableData) // optional value assertions
 	}{
 		{
 			name: "Fig6.1",
@@ -82,6 +83,18 @@ func TestFiguresGolden(t *testing.T) {
 				{"Figure 6.6(a)", fig65Schemes, procLabels(sc), true},
 				{"Figure 6.6(b)", fig65Schemes, procLabels(sc), false},
 				{"Figure 6.6(c)", fig65Schemes, procLabels(sc), true},
+			},
+			check: func(t *testing.T, tables []TableData) {
+				// Recovery takes kcycles, so in µs at 1 GHz every cell
+				// reads as at least one whole unit.
+				for _, row := range tables[2].Rows {
+					for ci, v := range row.Values {
+						if v < 1.0 {
+							t.Errorf("Figure 6.6(c) row %q %s = %v µs, want >= 1.0",
+								row.Label, tables[2].Columns[ci], v)
+						}
+					}
+				}
 			},
 		},
 		{
@@ -162,6 +175,9 @@ func TestFiguresGolden(t *testing.T) {
 						t.Errorf("Format lost row %q", r.Label)
 					}
 				}
+			}
+			if tc.check != nil {
+				tc.check(t, tables)
 			}
 		})
 	}

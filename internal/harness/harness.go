@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -225,12 +224,6 @@ func SchemeFor(name string) (machine.Scheme, error) {
 
 // Build constructs the machine for a spec without running it.
 func Build(spec Spec) (*machine.Machine, error) {
-	return BuildIn(nil, spec)
-}
-
-// BuildIn is Build with the cache arrays taken from arena (nil means
-// fresh allocations; the Runner passes pooled per-worker arenas).
-func BuildIn(arena *cache.Arena, spec Spec) (*machine.Machine, error) {
 	prof := workload.ByName(spec.App)
 	if prof == nil {
 		return nil, fmt.Errorf("harness: unknown application %q", spec.App)
@@ -256,28 +249,22 @@ func BuildIn(arena *cache.Arena, spec Spec) (*machine.Machine, error) {
 		cfg.DepSets = spec.DepSets
 	}
 	cfg.Shards = spec.Shards
-	m := machine.NewIn(arena, cfg, prof, sch)
+	m := machine.New(cfg, prof, sch)
 	if spec.LogAllWB {
 		m.Ctrl.Log().AlwaysLog = true
 	}
 	return m, nil
 }
 
-// runSpec executes the spec to its instruction budget on the calling
-// goroutine. It is the uncached primitive underneath the Runner: a
-// pure function of spec, with no shared state between invocations
-// (the arena only recycles memory, never carries state: every cache
-// line taken from it is zeroed).
-func runSpec(spec Spec, arena *cache.Arena) (Result, error) {
-	m, err := BuildIn(arena, spec)
+// runSpec builds the machine for spec and runs it to its instruction
+// budget on the calling goroutine. It is the uncached primitive
+// underneath the Runner: a pure function of spec, with no shared state
+// between invocations.
+func runSpec(spec Spec) (Result, error) {
+	m, err := Build(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	return measure(m, spec), nil
-}
-
-// measure runs a built machine to its spec's budget and scores it.
-func measure(m *machine.Machine, spec Spec) Result {
 	end := m.Run(spec.Scale.InstrPerProc * uint64(spec.Procs))
 	m.FinalizeStats()
 	hasDep := spec.Scheme != "none" && spec.Scheme != "Global" && spec.Scheme != "Global_DWB"
@@ -286,44 +273,15 @@ func measure(m *machine.Machine, spec Spec) Result {
 		St:     m.St,
 		Cycles: uint64(end),
 		Power:  power.Default45nm().Compute(m.St, hasDep),
-	}
+	}, nil
 }
 
-// ReuseKey is the machine-recycling identity of a spec: every field
-// that shapes the built machine (workload, processor count, scale,
-// hardware knobs) EXCEPT the scheme and the log-ablation flag, which
-// Machine.Reset swaps without rebuilding. Cells with equal ReuseKeys
-// can run on one recycled machine; DeriveSeed deliberately ignores the
-// same fields, so the recycled machine replays the identical streams.
+// ReuseKey is the machine-shape identity of a spec (every field but
+// scheme and the log-ablation flag).
 func ReuseKey(s Spec) string {
 	b := s
 	b.Scheme, b.LogAllWB = "", false
 	return b.Key()
-}
-
-// resetAndRun recycles a previously-built machine for spec: the
-// machine is Reset under spec's scheme (bit-identical to a fresh
-// build, see machine.Reset) and run to the budget. The caller
-// guarantees ReuseKey(spec) matches the machine's original spec.
-func resetAndRun(m *machine.Machine, spec Spec) (Result, error) {
-	sch, err := SchemeFor(spec.Scheme)
-	if err != nil {
-		return Result{}, err
-	}
-	m.Reset(sch)
-	if spec.LogAllWB {
-		m.Ctrl.Log().AlwaysLog = true
-	}
-	return measure(m, spec), nil
-}
-
-// detachStats replaces a pooled-machine Result's stats (which alias
-// the machine's in-place sink) with a private deep copy, so recycling
-// the machine can never mutate a published, memoized Result.
-func detachStats(res *Result) {
-	st := stats.New(res.St.NProcs)
-	res.St.CopyInto(st)
-	res.St = st
 }
 
 // MustRun runs a known-good spec (figure drivers) through the

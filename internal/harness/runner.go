@@ -6,9 +6,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-
-	"repro/internal/cache"
-	"repro/internal/machine"
 )
 
 // The experiment runner. Every (app, procs, scheme, scale, ioforce)
@@ -87,96 +84,15 @@ type recoveryEntry struct {
 }
 
 // Runner schedules experiment cells across a bounded worker pool with
-// per-Spec memoization. The zero value is not usable; call NewRunner.
-// A Runner is safe for concurrent use by multiple goroutines.
+// per-Spec memoization. Every cell it simulates runs on a machine
+// freshly built from its spec (runSpec). The zero value is not usable;
+// call NewRunner. A Runner is safe for concurrent use by multiple
+// goroutines.
 type Runner struct {
 	workers int
-	// arenas pools per-cell cache-line backing arrays (cache.Arena)
-	// across the runner's workers: a sweep of thousands of cells reuses
-	// a handful of arenas instead of allocating (and GC-scanning)
-	// hundreds of KB of cache lines per cell. Arenas carry no state
-	// between cells — every taken line is zeroed — so memoized results
-	// stay a pure function of the Spec.
-	arenas sync.Pool
-	// machines pools whole built machines by ReuseKey: cells that share
-	// a configuration (every scheme of one workload, most prominently)
-	// recycle one machine through Machine.Reset instead of rebuilding.
-	machines machinePool
-	mu       sync.Mutex
-	cache    map[string]*cacheEntry
-	rec      map[string]*recoveryEntry
-}
-
-// machinePool is a byte-bounded pool of built machines keyed by
-// ReuseKey. Machines are fungible within a key (Reset rewinds them to
-// the just-built state) and useless across keys; when the budget is
-// exceeded the oldest pooled machine is dropped to the GC.
-type machinePool struct {
 	mu      sync.Mutex
-	used    int64
-	entries map[string][]*machine.Machine
-	order   []string // insertion order of individual machines, for eviction
-}
-
-// machinePoolBudget bounds the bytes of machines a Runner retains
-// (estimated from cache geometry, the dominant term). Big enough to
-// hold a full figure sweep's worth of quick-scale machines, small
-// enough that a long-lived daemon cannot hoard memory.
-const machinePoolBudget = int64(192 << 20)
-
-// machineBytes estimates a machine's retained footprint.
-func machineBytes(m *machine.Machine) int64 {
-	// Cache line arrays are ~1.5x the modelled capacity (48-byte Line
-	// per 32-byte line), plus roughly as much again for Dep registers,
-	// memory/log/directory state and the event queue.
-	return int64(m.Cfg.NProcs) * int64(m.Cfg.L1Size+m.Cfg.L2Size) * 3
-}
-
-func (p *machinePool) take(key string) *machine.Machine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ms := p.entries[key]
-	if len(ms) == 0 {
-		return nil
-	}
-	m := ms[len(ms)-1]
-	p.entries[key] = ms[:len(ms)-1]
-	p.used -= machineBytes(m)
-	// Drop one order entry for the key, or the slice would grow by one
-	// stale string per take/put cycle for the process lifetime.
-	for i, k := range p.order {
-		if k == key {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
-	return m
-}
-
-func (p *machinePool) put(key string, m *machine.Machine) {
-	b := machineBytes(m)
-	if b > machinePoolBudget {
-		return // never poolable — and must not flush the pool finding out
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.entries == nil {
-		p.entries = make(map[string][]*machine.Machine)
-	}
-	for p.used+b > machinePoolBudget && len(p.order) > 0 {
-		oldKey := p.order[0]
-		p.order = p.order[1:]
-		oms := p.entries[oldKey]
-		if len(oms) == 0 {
-			continue // stale order entry (machine was taken)
-		}
-		om := oms[0]
-		p.entries[oldKey] = oms[1:]
-		p.used -= machineBytes(om)
-	}
-	p.entries[key] = append(p.entries[key], m)
-	p.order = append(p.order, key)
-	p.used += b
+	cache   map[string]*cacheEntry
+	rec     map[string]*recoveryEntry
 }
 
 // NewRunner returns a runner with the given parallelism; workers <= 0
@@ -186,53 +102,9 @@ func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &Runner{workers: workers,
+	return &Runner{workers: workers,
 		cache: make(map[string]*cacheEntry),
 		rec:   make(map[string]*recoveryEntry)}
-	r.arenas.New = func() any { return new(cache.Arena) }
-	return r
-}
-
-// runPooled executes spec, recycling a pooled machine with a matching
-// ReuseKey when one is available (Machine.Reset path, bit-identical to
-// a fresh build) and building one otherwise. Machines are pooled only
-// after a successful run, with their published stats detached first; a
-// machine that cannot be pooled (budget) simply dies with its run.
-// Fresh builds here use dedicated heap allocations rather than a
-// worker arena — an arena-backed machine must not outlive the arena's
-// next reset, and pooling is where the recycling win now comes from.
-func (r *Runner) runPooled(spec Spec) (res Result, err error) {
-	key := ReuseKey(spec)
-	m := r.machines.take(key)
-	if m != nil {
-		res, err = resetAndRun(m, spec)
-	} else {
-		m, err = Build(spec)
-		if err != nil {
-			return Result{}, err
-		}
-		res = measure(m, spec)
-	}
-	if err != nil {
-		return res, err
-	}
-	detachStats(&res)
-	r.machines.put(key, m)
-	return res, nil
-}
-
-// WithArena runs fn with a pooled, reset cache arena: the same
-// allocation-recycling the runner's own cells use, exposed so other
-// fan-outs over machine builds (the campaign engine's fault trials)
-// share one arena pool instead of allocating cache arrays per run.
-// The arena is recycled only on the non-panic path; a panicking fn
-// abandons it to the GC. fn must not retain the arena (or anything
-// built in it) past its return.
-func (r *Runner) WithArena(fn func(*cache.Arena)) {
-	a := r.arenas.Get().(*cache.Arena)
-	a.Reset()
-	fn(a)
-	r.arenas.Put(a)
 }
 
 // FanOut feeds indices [0, n) to the runner's worker pool, blocking
@@ -295,7 +167,7 @@ func (r *Runner) RunOne(ctx context.Context, spec Spec) (Result, error) {
 				}
 				close(e.done)
 			}()
-			e.res, e.err = r.runPooled(spec)
+			e.res, e.err = runSpec(spec)
 		}()
 		return e.res, e.err
 	}

@@ -31,7 +31,7 @@ func (p *Proc) newRec() *CkptRec {
 
 // freeRec returns a record to the pool. The caller must guarantee no
 // live closure still references it (completed records only, or whole-
-// machine restore/reset where every outstanding closure is discarded).
+// machine restore where every outstanding closure is discarded).
 func (p *Proc) freeRec(r *CkptRec) { p.recFree = append(p.recFree, r) }
 
 // BeginCheckpoint captures the processor's register state at the

@@ -3,7 +3,6 @@
 package machine
 
 import (
-	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -144,7 +143,7 @@ type Machine struct {
 	Scheme Scheme
 
 	// prof is the workload the processors stream from, retained so
-	// Reset can rebuild the streams in place.
+	// Fork and snapshot decoding can rebuild the streams.
 	prof *workload.Profile
 
 	totalInstr  uint64
@@ -192,14 +191,6 @@ type SchemePersister interface {
 
 // New builds a machine running prof under scheme.
 func New(cfg Config, prof *workload.Profile, scheme Scheme) *Machine {
-	return NewIn(nil, cfg, prof, scheme)
-}
-
-// NewIn is New with the cache line arrays taken from arena (nil means
-// fresh heap allocations). The harness runner pools arenas across
-// sweep cells; the caller must not recycle the arena while the machine
-// is still in use.
-func NewIn(arena *cache.Arena, cfg Config, prof *workload.Profile, scheme Scheme) *Machine {
 	eng := sim.NewEngine()
 	st := stats.New(cfg.NProcs)
 	tp := topo.New(cfg.NProcs)
@@ -214,7 +205,7 @@ func NewIn(arena *cache.Arena, cfg Config, prof *workload.Profile, scheme Scheme
 	nodes := make([]coherence.Node, cfg.NProcs)
 	m.Procs = make([]*Proc, cfg.NProcs)
 	for i := 0; i < cfg.NProcs; i++ {
-		p := newProc(m, i, prof, arena)
+		p := newProc(m, i, prof)
 		m.Procs[i] = p
 		nodes[i] = (*procNode)(p)
 	}

@@ -148,7 +148,7 @@ type Proc struct {
 
 	// recFree pools dead CkptRec objects so the per-checkpoint record
 	// allocation disappears once a machine is recycled across trials
-	// (snapshot restore / Reset return every record here).
+	// (snapshot restore returns every record here).
 	recFree []*CkptRec
 }
 
@@ -161,23 +161,16 @@ const (
 	tagDrain
 )
 
-// procRNGSeed derives processor id's private RNG seed from the machine
-// seed (shared by newProc and Proc.reset so a Reset machine replays the
-// same streams as a fresh build).
-func procRNGSeed(machineSeed uint64, id int) uint64 {
-	return machineSeed*0x5851f42d4c957f2d + uint64(id) + 1
-}
-
-func newProc(m *Machine, id int, prof *workload.Profile, arena *cache.Arena) *Proc {
+func newProc(m *Machine, id int, prof *workload.Profile) *Proc {
 	cfg := m.Cfg
 	p := &Proc{
 		m:      m,
 		id:     id,
-		l1:     cache.NewIn(arena, cfg.L1Size, cfg.L1Ways, cfg.LineBytes),
-		l2:     cache.NewIn(arena, cfg.L2Size, cfg.L2Ways, cfg.LineBytes),
+		l1:     cache.New(cfg.L1Size, cfg.L1Ways, cfg.LineBytes),
+		l2:     cache.New(cfg.L2Size, cfg.L2Ways, cfg.LineBytes),
 		deps:   dep.NewTracker(cfg.DepSets, cfg.WSIGBits, cfg.WSIGHashes),
 		stream: workload.NewStream(prof, id, cfg.NProcs, cfg.Seed),
-		rng:    *sim.NewRNG(procRNGSeed(cfg.Seed, id)),
+		rng:    *sim.NewRNG(cfg.Seed*0x5851f42d4c957f2d + uint64(id) + 1),
 	}
 	p.stepFn = p.step
 	p.drainStepFn = p.drainStep

@@ -239,7 +239,7 @@ func (m *Machine) Restore(s *MachineSnapshot) error {
 // fans out to a worker pool without re-warming. Subsequent Restore(s)
 // calls on the fork take the copy-on-write delta path.
 func (m *Machine) Fork(s *MachineSnapshot, scheme Scheme) (*Machine, error) {
-	n := NewIn(nil, m.Cfg, m.prof, scheme)
+	n := New(m.Cfg, m.prof, scheme)
 	if err := n.Restore(s); err != nil {
 		return nil, err
 	}
@@ -313,62 +313,4 @@ func (p *Proc) loadState(s *procSnapshot) {
 	p.restoreGen = s.restoreGen
 	p.openPending = false
 	p.InCkpt = false
-}
-
-// Reset returns the machine to its just-built state under a (fresh)
-// scheme, recycling every allocation: engine queue, caches, Dep
-// registers, memory/log/directory arrays, statistics and checkpoint
-// records are cleared in place and the workload streams are re-seeded.
-// The line-interning table is kept (IDs are behaviourally invisible,
-// exactly as for Restore, and re-interning the workload footprint was
-// the expensive part of recycling). A Reset machine is bit-identical
-// in behaviour to one newly built with the same Config, profile and
-// scheme — the harness runner uses this to recycle machines across
-// sweep cells that share a configuration.
-func (m *Machine) Reset(scheme Scheme) {
-	m.Eng.Reset()
-	m.St.Reset()
-	m.Ctrl.Memory().Reset()
-	m.Ctrl.Log().Reset()
-	m.Ctrl.DRAM().Reset()
-	m.Dir.Reset()
-	m.totalInstr, m.targetInstr = 0, 0
-	m.OnTaint = nil
-	m.restoredFrom, m.restoredGen = nil, 0
-	for _, p := range m.Procs {
-		p.reset()
-	}
-	m.Scheme = scheme
-	scheme.Attach(m)
-}
-
-// reset returns the processor to its just-built state.
-func (p *Proc) reset() {
-	cfg := p.m.Cfg
-	p.l1.Reset()
-	p.l2.Reset()
-	p.deps.Reset()
-	*p.stream = *workload.NewStream(p.m.prof, p.id, cfg.NProcs, cfg.Seed)
-	p.rng = *sim.NewRNG(procRNGSeed(cfg.Seed, p.id))
-	p.micro = microState{}
-	p.tick = 0
-	p.stepScheduled = false
-	p.paused, p.pauseReq, p.dormant = false, nil, false
-	p.curEpoch, p.instrSinceCkpt = 0, 0
-	for _, r := range p.history {
-		p.freeRec(r)
-	}
-	p.history = p.history[:0]
-	rec := p.newRec()
-	rec.OpenedEpoch = 0
-	rec.Snap = p.takeSnapshot()
-	rec.CompletedAt = 0
-	p.history = append(p.history, rec)
-	p.InCkpt = false
-	p.delayedQueue = p.delayedQueue[:0]
-	p.draining, p.drainRush, p.drainDone = false, false, nil
-	p.faulty, p.tainted = false, false
-	p.depStallSince = 0
-	p.restoreGen = 0
-	p.openPending = false
 }

@@ -138,9 +138,3 @@ func (d *DRAM) Load(s *DRAMSnapshot) {
 	copy(d.readFree, s.ReadFree)
 	copy(d.wbFree, s.WBFree)
 }
-
-// Reset idles every channel (Machine.Reset).
-func (d *DRAM) Reset() {
-	clear(d.readFree)
-	clear(d.wbFree)
-}

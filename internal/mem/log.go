@@ -88,12 +88,10 @@ type Log struct {
 	// Dirty tracking for the snapshot engine's copy-on-write restore:
 	// pidDirty[pid] marks a per-processor entry list whose contents
 	// changed since the last load, lkDirty the mutated pages of each
-	// lastKey shard, and dirtyAll the wholesale invalidation (Reset).
-	// minEpoch and the scalar counters are small enough to copy
-	// unconditionally.
+	// lastKey shard. minEpoch and the scalar counters are small enough
+	// to copy unconditionally.
 	pidDirty []bool
 	lkDirty  []cow.Dirty
-	dirtyAll bool
 }
 
 // NewLog returns an unsharded log banked banks ways with its own line
@@ -392,7 +390,6 @@ func (l *Log) clearDirty() {
 	for i := range l.lkDirty {
 		l.lkDirty[i].Clear()
 	}
-	l.dirtyAll = false
 }
 
 // LoadDelta restores the log from s touching only the state mutated
@@ -402,7 +399,7 @@ func (l *Log) clearDirty() {
 // state was last loaded from this same capture; anything else must use
 // Load.
 func (l *Log) LoadDelta(s *LogSnapshot) {
-	if l.dirtyAll || len(l.perPID) < len(s.perPID) || len(l.lastKey) != len(s.lastKey) {
+	if len(l.perPID) < len(s.perPID) || len(l.lastKey) != len(s.lastKey) {
 		l.Load(s)
 		return
 	}
@@ -546,24 +543,6 @@ func (s *LogSnapshot) FromImage(im *LogImage, sh Sharding) error {
 	s.total, s.nextSeq, s.sinceStub = im.Total, im.NextSeq, im.SinceStub
 	s.alwaysLog = im.AlwaysLog
 	return nil
-}
-
-// Reset empties the log in place, for Machine.Reset. The shared line
-// table survives a machine reset, so the first-writeback keys keep
-// their length and revert to the no-entry value.
-func (l *Log) Reset() {
-	for pid := range l.perPID {
-		l.perPID[pid] = l.perPID[pid][:0]
-		l.minEpoch[pid] = noEntries
-	}
-	for i := range l.lastKey {
-		for j := range l.lastKey[i] {
-			l.lastKey[i][j] = logKey{pid: -1}
-		}
-	}
-	l.total, l.nextSeq, l.sinceStub = 0, 0, 0
-	l.AlwaysLog = false
-	l.dirtyAll = true
 }
 
 // EntriesFor returns (for tests and debugging) the live entries of one

@@ -357,15 +357,3 @@ func (m *Memory) LoadDelta(s *MemorySnapshot) {
 	}
 	m.nonzero = s.nonzero
 }
-
-// Reset zeroes the memory in place. The shared line table is kept —
-// interned IDs are behaviourally invisible (see Machine.Reset) and
-// re-interning a workload's whole footprint was the expensive part of
-// recycling a machine.
-func (m *Memory) Reset() {
-	for i := range m.words {
-		clear(m.words[i])
-		m.dirty[i].MarkAll()
-	}
-	m.nonzero = 0
-}

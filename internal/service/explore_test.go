@@ -198,11 +198,11 @@ func TestExploreClusterByteIdentity(t *testing.T) {
 func TestExploreValidation(t *testing.T) {
 	ts := newCampaignTestServer(t)
 	for _, body := range []string{
-		`{"app":"FFT","procs":4,"schemes":["Rebound"]}`,                            // no trials
-		`{"app":"FFT","procs":4,"schemes":["NoSuchScheme"],"trials":2}`,            // bad scheme
-		`{"app":"NoSuchApp","procs":4,"schemes":["Rebound"],"trials":2}`,           // bad app
-		`{"app":"FFT","procs":4,"schemes":["Rebound"],"trials":2,"strategy":"x"}`,  // bad strategy
-		`{"app":"FFT","procs":4,"trials":2}`,                                       // empty space
+		`{"app":"FFT","procs":4,"schemes":["Rebound"]}`,                           // no trials
+		`{"app":"FFT","procs":4,"schemes":["NoSuchScheme"],"trials":2}`,           // bad scheme
+		`{"app":"NoSuchApp","procs":4,"schemes":["Rebound"],"trials":2}`,          // bad app
+		`{"app":"FFT","procs":4,"schemes":["Rebound"],"trials":2,"strategy":"x"}`, // bad strategy
+		`{"app":"FFT","procs":4,"trials":2}`,                                      // empty space
 	} {
 		if _, code := postExplore(t, ts.URL, body); code != http.StatusBadRequest {
 			t.Errorf("POST %s: status %d, want 400", body, code)

@@ -284,13 +284,6 @@ func (p *Paired) Load(s *PairedSnapshot) {
 	p.Tests, p.FalsePositives = s.Tests, s.FalsePositives
 }
 
-// ResetAll clears contents AND the cumulative counters, returning the
-// signature to its just-constructed state (Machine.Reset).
-func (p *Paired) ResetAll() {
-	p.Clear()
-	p.Tests, p.FalsePositives = 0, 0
-}
-
 var (
 	_ Signature = (*Bloom)(nil)
 	_ Signature = (*Exact)(nil)

@@ -167,15 +167,6 @@ func (e *Engine) Load(now Cycle, seq uint64, events []SavedEvent, resolve func(T
 	}
 }
 
-// Reset returns the engine to its just-constructed state: cycle 0,
-// empty queue. Used by Machine.Reset to recycle a machine's allocations
-// across runs.
-func (e *Engine) Reset() {
-	e.now, e.seq, e.stopped, e.untagged = 0, 0, false, 0
-	clear(e.heap)
-	e.heap = e.heap[:0]
-}
-
 // At runs fn at the given absolute cycle, which must not be in the past.
 func (e *Engine) At(when Cycle, fn func()) {
 	if when < e.now {

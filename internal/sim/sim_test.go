@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -194,73 +193,6 @@ func TestSaveLoadPreservesFiringOrder(t *testing.T) {
 					cut, cut+i, f, a.fired[cut+i], full[cut+i])
 			}
 		}
-	}
-}
-
-// runShardChains drives a shard-partitioned workload on e, the shape a
-// sharded machine puts on its one sequential engine: each shard runs an
-// LCG-driven chain of shard-local events, and some firings send a
-// payload to another shard that mutates the destination's RNG, so the
-// trace depends on the exact interleaving. It runs to limit (0 means
-// to quiescence) and returns the trace.
-func runShardChains(e *Engine, limit Cycle) []uint64 {
-	const shards, fires = 4, 100
-	var rng [shards]uint64
-	var fired [shards]int
-	var trace []uint64
-	for i := range rng {
-		rng[i] = 0x9e3779b9 + uint64(i)*0xbf58476d
-		var step func()
-		step = func() {
-			rng[i] = rng[i]*6364136223846793005 + 1442695040888963407
-			r := rng[i]
-			trace = append(trace, e.Now(), uint64(i), r)
-			if fired[i]++; fired[i] < fires {
-				e.Schedule(1+Cycle(r%5), step)
-			}
-			if r%7 == 0 {
-				dst := (i + 1 + int(r%(shards-1))) % shards
-				payload := r >> 13
-				e.Schedule(8+Cycle(r%9), func() {
-					rng[dst] ^= payload
-					trace = append(trace, e.Now(), uint64(dst), rng[dst])
-				})
-			}
-		}
-		e.Schedule(Cycle(i+1), step)
-	}
-	e.Run(limit)
-	return trace
-}
-
-// TestShardedReset: Reset returns an engine that stopped part-way
-// through a shard-partitioned workload, with untagged events still
-// pending, to a reusable zero state, and a rerun on it reproduces a
-// fresh engine's trace, final clock and sequence counter.
-func TestShardedReset(t *testing.T) {
-	fresh := NewEngine()
-	want := runShardChains(fresh, 0)
-	wantNow, wantSeq, _, _ := fresh.Save(nil)
-
-	e := NewEngine()
-	runShardChains(e, 150)
-	if e.Pending() == 0 || e.AllTagged() {
-		t.Fatalf("partial run left %d events pending, want untagged events in flight", e.Pending())
-	}
-	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || !e.AllTagged() {
-		t.Fatalf("after Reset: now=%d pending=%d allTagged=%v, want 0/0/true", e.Now(), e.Pending(), e.AllTagged())
-	}
-	if now, seq, events, ok := e.Save(nil); !ok || now != 0 || seq != 0 || len(events) != 0 {
-		t.Fatalf("after Reset: Save = (%d, %d, %d events, %v), want (0, 0, 0 events, true)", now, seq, len(events), ok)
-	}
-
-	got := runShardChains(e, 0)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("rerun after Reset diverged from a fresh engine's trace")
-	}
-	if now, seq, _, _ := e.Save(nil); now != wantNow || seq != wantSeq {
-		t.Fatalf("rerun after Reset ended at (now=%d, seq=%d), fresh engine at (%d, %d)", now, seq, wantNow, wantSeq)
 	}
 }
 

@@ -168,25 +168,6 @@ func (s *Stats) CopyInto(dst *Stats) {
 	}
 }
 
-// Reset zeroes every counter and record in place (Machine.Reset),
-// keeping slice storage.
-func (s *Stats) Reset() {
-	n := s.NProcs
-	zero := func(xs []uint64) { clear(xs) }
-	zero(s.Instructions)
-	zero(s.MemOps)
-	zero(s.WBDelay)
-	zero(s.WBImbalance)
-	zero(s.SyncDelay)
-	zero(s.RollStall)
-	ckpts, rolls := s.Checkpoints[:0], s.Rollbacks[:0]
-	*s = Stats{NProcs: n,
-		Instructions: s.Instructions, MemOps: s.MemOps,
-		WBDelay: s.WBDelay, WBImbalance: s.WBImbalance,
-		SyncDelay: s.SyncDelay, RollStall: s.RollStall,
-		Checkpoints: ckpts, Rollbacks: rolls}
-}
-
 // TotalInstructions sums instructions across cores.
 func (s *Stats) TotalInstructions() uint64 {
 	var t uint64
