@@ -8,7 +8,6 @@
 package cache
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/mem"
@@ -41,58 +40,27 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Line is one cache line.
+// Line is one cache line. The JSON keys are the persistent-snapshot
+// schema (machine.SnapshotFormat).
 type Line struct {
-	Addr  uint64
-	State State
+	Addr  uint64 `json:"addr"`
+	State State  `json:"state"`
 	// Dirty marks data newer than memory (only meaningful in the L2;
 	// the L1 is write-through and never dirty).
-	Dirty bool
+	Dirty bool `json:"dirty,omitempty"`
 	// Delayed marks a dirty line whose checkpoint writeback is pending
 	// in the background (§4.1).
-	Delayed bool
+	Delayed bool `json:"delayed,omitempty"`
 	// Epoch is the checkpoint interval in which the line was dirtied.
-	Epoch uint64
-	Data  mem.Word
-
-	lru uint64
+	Epoch uint64   `json:"epoch,omitempty"`
+	Data  mem.Word `json:"data"`
+	// LRU is the cache's clock at the line's last touch. It drives
+	// eviction order, so a snapshot must carry it.
+	LRU uint64 `json:"lru,omitempty"`
 }
 
 // Valid reports whether the line holds data.
 func (l *Line) Valid() bool { return l.State != Invalid }
-
-// lineImage mirrors Line for the persistent-snapshot codec. The lru
-// stamp is unexported yet behaviour-relevant — dropping it would change
-// eviction order after a snapshot round trip — so Line marshals through
-// this image instead of relying on default struct encoding.
-type lineImage struct {
-	Addr    uint64   `json:"addr"`
-	State   uint8    `json:"state"`
-	Dirty   bool     `json:"dirty,omitempty"`
-	Delayed bool     `json:"delayed,omitempty"`
-	Epoch   uint64   `json:"epoch,omitempty"`
-	Data    mem.Word `json:"data"`
-	Lru     uint64   `json:"lru,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler, preserving the lru stamp.
-func (l Line) MarshalJSON() ([]byte, error) {
-	return json.Marshal(lineImage{
-		Addr: l.Addr, State: uint8(l.State), Dirty: l.Dirty, Delayed: l.Delayed,
-		Epoch: l.Epoch, Data: l.Data, Lru: l.lru,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (l *Line) UnmarshalJSON(data []byte) error {
-	var im lineImage
-	if err := json.Unmarshal(data, &im); err != nil {
-		return err
-	}
-	*l = Line{Addr: im.Addr, State: State(im.State), Dirty: im.Dirty,
-		Delayed: im.Delayed, Epoch: im.Epoch, Data: im.Data, lru: im.Lru}
-	return nil
-}
 
 // Cache is a set-associative, LRU cache. Addresses are line-granular.
 // Lines are stored in one flat slice (set i occupies lines[i*ways :
@@ -140,7 +108,7 @@ func (c *Cache) Lookup(addr uint64) *Line {
 	for i := range s {
 		if s[i].State != Invalid && s[i].Addr == addr {
 			c.lruTick++
-			s[i].lru = c.lruTick
+			s[i].LRU = c.lruTick
 			return &s[i]
 		}
 	}
@@ -170,7 +138,7 @@ func (c *Cache) Insert(addr uint64) (line *Line, victim Line, evicted bool) {
 	for i := range s {
 		if s[i].State != Invalid && s[i].Addr == addr {
 			c.lruTick++
-			s[i].lru = c.lruTick
+			s[i].LRU = c.lruTick
 			return &s[i], Line{}, false
 		}
 		if s[i].State == Invalid {
@@ -178,15 +146,15 @@ func (c *Cache) Insert(addr uint64) (line *Line, victim Line, evicted bool) {
 				vi = i
 				oldest = 0
 			}
-		} else if vi == -1 || (s[vi].State != Invalid && s[i].lru < oldest) {
+		} else if vi == -1 || (s[vi].State != Invalid && s[i].LRU < oldest) {
 			vi = i
-			oldest = s[i].lru
+			oldest = s[i].LRU
 		}
 	}
 	v := s[vi]
 	ev := v.State != Invalid
 	c.lruTick++
-	s[vi] = Line{Addr: addr, lru: c.lruTick}
+	s[vi] = Line{Addr: addr, LRU: c.lruTick}
 	return &s[vi], v, ev
 }
 
@@ -244,10 +212,19 @@ func (c *Cache) Save(s *Snapshot) {
 	s.LruTick = c.lruTick
 }
 
+// CheckSnapshot reports whether s fits c's geometry, Load's
+// precondition.
+func (c *Cache) CheckSnapshot(s *Snapshot) error {
+	if len(s.Lines) != len(c.lines) {
+		return fmt.Errorf("cache: snapshot holds %d lines, cache has %d", len(s.Lines), len(c.lines))
+	}
+	return nil
+}
+
 // Load restores the cache from s. The geometry must match the capture.
 func (c *Cache) Load(s *Snapshot) {
-	if len(s.Lines) != len(c.lines) {
-		panic("cache: snapshot geometry mismatch")
+	if err := c.CheckSnapshot(s); err != nil {
+		panic(err)
 	}
 	copy(c.lines, s.Lines)
 	c.lruTick = s.LruTick

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,54 +28,61 @@ func trialJSON(t *testing.T, tr Trial) []byte {
 // lossiness: a decoded snapshot must re-encode byte-identically AND
 // behave identically. The behavioural leg is the load-bearing one —
 // encode(decode(x)) == encode(x) holds even when both encodes drop the
-// same unexported field (that symmetry is exactly how cache.Line.lru
-// went missing), so the test also runs one full fault trial from the
-// original and the decoded snapshot and diffs every recorded field.
+// same unexported field (that symmetry is exactly how cache.Line's LRU
+// stamp once went missing), so the test also runs one full fault trial
+// from the original and the decoded snapshot and diffs every recorded
+// field. The cross-shard legs decode a payload into a machine of
+// another shard count, which the one flat layout must make invisible.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
-	spec := testSpec(4)
+	for _, leg := range []struct{ from, to int }{{0, 0}, {4, 0}, {0, 4}} {
+		t.Run(fmt.Sprintf("shards%d-to-%d", leg.from, leg.to), func(t *testing.T) {
+			spec := testSpec(4)
+			spec.Base.Shards = leg.from
+			m1, err := harness.Build(spec.Base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !warm(m1, spec) {
+				t.Fatal("warmup reached no snapshot-safe point")
+			}
+			var snap machine.MachineSnapshot
+			if err := m1.Snapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			payload, err := m1.EncodeSnapshot(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	m1, err := harness.Build(spec.Base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm(m1, spec) {
-		t.Fatal("warmup reached no snapshot-safe point")
-	}
-	var snap machine.MachineSnapshot
-	if err := m1.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := m1.EncodeSnapshot(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+			spec.Base.Shards = leg.to
+			m2, err := harness.Build(spec.Base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap2, err := m2.DecodeSnapshot(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload2, err := m2.EncodeSnapshot(snap2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(payload, payload2) {
+				t.Fatal("decoded snapshot does not re-encode byte-identically")
+			}
 
-	m2, err := harness.Build(spec.Base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap2, err := m2.DecodeSnapshot(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload2, err := m2.EncodeSnapshot(snap2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(payload, payload2) {
-		t.Fatal("decoded snapshot does not re-encode byte-identically")
-	}
-
-	if err := m2.Restore(snap2); err != nil {
-		t.Fatal(err)
-	}
-	tr2 := runPhase(m2, spec, 3)
-	if err := m1.Restore(&snap); err != nil {
-		t.Fatal(err)
-	}
-	tr1 := runPhase(m1, spec, 3)
-	if a, b := trialJSON(t, tr1), trialJSON(t, tr2); !bytes.Equal(a, b) {
-		t.Fatalf("decoded snapshot diverges behaviourally:\n  orig:    %s\n  decoded: %s", a, b)
+			if err := m2.Restore(snap2); err != nil {
+				t.Fatal(err)
+			}
+			tr2 := runPhase(m2, spec, 3)
+			if err := m1.Restore(&snap); err != nil {
+				t.Fatal(err)
+			}
+			tr1 := runPhase(m1, spec, 3)
+			if a, b := trialJSON(t, tr1), trialJSON(t, tr2); !bytes.Equal(a, b) {
+				t.Fatalf("decoded snapshot diverges behaviourally:\n  orig:    %s\n  decoded: %s", a, b)
+			}
+		})
 	}
 }
 

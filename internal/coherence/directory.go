@@ -20,8 +20,8 @@
 // machine's mem.Sharding (shard = low ID bits, slot = remaining bits):
 // one owner word, one LW-ID word and a fixed number of sharer-bitmap
 // words per line, so a transaction pays a single intern lookup plus two
-// shifts and then runs on dense arrays. A 1-shard directory degenerates
-// to the historical flat layout. Sharer updates are batched per
+// shifts and then runs on dense arrays. A 1-shard directory is one flat
+// ID-indexed array per column. Sharer updates are batched per
 // transaction: the invalidation fan-out walks the bitmap words inline
 // and accounts messages once, instead of per-sharer closure calls into
 // a heap-allocated bitset.
@@ -457,8 +457,8 @@ func (d *Directory) DetachProc(pid int) {
 
 // Snapshot is a saved directory image: the per-shard per-line state
 // arrays. Save reuses its storage across captures. FlatImage /
-// LoadFlatImage convert to and from the historical flat ID-indexed
-// layout for the persistent codec.
+// LoadFlatImage convert to and from the flat ID-indexed layout the
+// persistent codec writes at every shard count.
 type Snapshot struct {
 	owner   [][]int32
 	lwid    [][]int32
@@ -466,40 +466,9 @@ type Snapshot struct {
 	wpp     int
 }
 
-// NumShards returns the number of captured shards (0 for an empty
-// snapshot).
-func (s *Snapshot) NumShards() int { return len(s.owner) }
-
-// WPP returns the captured sharer-bitmap words per line.
-func (s *Snapshot) WPP() int { return s.wpp }
-
-// ShardArrays returns the captured arrays of one shard (not copies; the
-// caller must not mutate them). Used by the persistent codec.
-func (s *Snapshot) ShardArrays(i int) (owner, lwid []int32, sharers []uint64) {
-	return s.owner[i], s.lwid[i], s.sharers[i]
-}
-
-// SetShards installs captured per-shard arrays directly (persistent
-// codec decode path). The three outer slices must have equal length and
-// each shard's sharers must hold wpp words per entry.
-func (s *Snapshot) SetShards(owner, lwid [][]int32, sharers [][]uint64, wpp int) error {
-	if len(owner) != len(lwid) || len(owner) != len(sharers) {
-		return fmt.Errorf("coherence: snapshot shard arrays disagree (%d/%d/%d shards)",
-			len(owner), len(lwid), len(sharers))
-	}
-	for i := range owner {
-		if len(owner[i]) != len(lwid[i]) || len(sharers[i]) != len(owner[i])*wpp {
-			return fmt.Errorf("coherence: snapshot shard %d arrays disagree (%d owners, %d lwids, %d sharer words, wpp %d)",
-				i, len(owner[i]), len(lwid[i]), len(sharers[i]), wpp)
-		}
-	}
-	s.owner, s.lwid, s.sharers, s.wpp = owner, lwid, sharers, wpp
-	return nil
-}
-
-// FlatImage returns the capture as flat ID-indexed arrays — the
-// historical single-shard snapshot layout. For a single-shard capture
-// the arrays are the shard's own (zero-copy).
+// FlatImage returns the capture as flat ID-indexed arrays, gathered
+// from the capture's own shard layout. For a single-shard capture the
+// arrays are the shard's own (zero-copy).
 func (s *Snapshot) FlatImage() (owner, lwid []int32, sharers []uint64) {
 	if len(s.owner) <= 1 {
 		if len(s.owner) == 0 {

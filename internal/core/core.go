@@ -341,6 +341,9 @@ func (r *Rebound) DecodeSchemeState(data []byte) (any, error) {
 	if err := json.Unmarshal(data, &im); err != nil {
 		return nil, fmt.Errorf("core: rebound scheme state: %w", err)
 	}
+	if len(im.Procs) != len(r.ps) {
+		return nil, fmt.Errorf("core: rebound scheme state has %d procs, want %d", len(im.Procs), len(r.ps))
+	}
 	st := &reboundState{
 		rng:        im.RNG,
 		ps:         make([]reboundProcState, len(im.Procs)),

@@ -281,6 +281,28 @@ func (t *Tracker) Save(s *Snapshot) {
 	}
 }
 
+// CheckSnapshot reports whether s fits t's shape, Load's precondition:
+// one saved set per physical set, at least one of them live, and every
+// set holding its four registers and a signature of t's geometry.
+func (t *Tracker) CheckSnapshot(s *Snapshot) error {
+	if len(s.Sets) != t.capacity {
+		return fmt.Errorf("dep: snapshot holds %d register sets, tracker has %d", len(s.Sets), t.capacity)
+	}
+	if s.NLive < 1 || s.NLive > t.capacity {
+		return fmt.Errorf("dep: snapshot has %d live register sets, want 1..%d", s.NLive, t.capacity)
+	}
+	for i := range s.Sets {
+		ss := &s.Sets[i]
+		if ss.MyProducers == nil || ss.MyConsumers == nil || ss.PExact == nil || ss.CExact == nil {
+			return fmt.Errorf("dep: snapshot register set %d lacks a bitset", i)
+		}
+		if err := t.all[i].WSIG.CheckSnapshot(&ss.WSIG); err != nil {
+			return fmt.Errorf("dep: register set %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Load restores the tracker from s: the first NLive saved sets become
 // the live ring (oldest first), the rest the free stack, repartitioned
 // over the permanent physical sets without allocating. Which physical

@@ -16,7 +16,7 @@
 // word table, mem.Log's last-writer index, the directory's
 // owner/lwid/sharer columns — into N power-of-two partitions
 // (mem.Sharding: shard = id & (N-1), slot = id >> log2(N), so one
-// shard is exactly the historical flat layout). The shard count is a
+// shard is one flat ID-indexed array). The shard count is a
 // storage and parallelism axis only: simulated results are
 // byte-identical at every shard count and every GOMAXPROCS, a contract
 // the equivalence suite (sharded_equiv_test.go) enforces under -race.
@@ -30,15 +30,16 @@
 //
 // # Snapshot formats and compatibility
 //
-// The persistent codec (persist.go) writes two formats. An unsharded
-// machine (Shards <= 1) encodes legacy format 1, byte-identical to the
-// pre-sharding codec — snapshots persisted by earlier versions decode
-// unchanged, and Shards=0 and Shards=1 persist identically. A sharded
-// machine encodes format 2, whose memory and directory images are
-// per-shard arrays. DecodeSnapshot probes the "format" field and
-// dispatches; a format never decodes into a machine of the other
-// layout. SnapshotFormat names the current (highest) format and is
-// part of every persistent snapshot key (see campaign.warmKey): bump
-// it whenever the encoding changes so stale stored snapshots read as
-// misses that re-warm, never as misused state.
+// The persistent codec (persist.go) writes one format at every shard
+// count. Memory words, directory columns and log keys are gathered into
+// flat arrays indexed by interned line ID, and the encoded Config omits
+// Shards, so a snapshot persists to the same bytes at any shard count
+// and decodes into a machine of any shard count (the flat arrays
+// scatter into the target's mem.Sharding). Decode checks every array
+// against the target machine's geometry and returns an error on a
+// mismatch, so a malformed stored payload cannot panic Restore.
+// SnapshotFormat is the format number and is part of every persistent
+// snapshot key (see campaign.warmKey): bump it whenever the encoding
+// changes so stale stored snapshots read as misses that re-warm, never
+// as misused state.
 package machine

@@ -53,12 +53,13 @@ type Config struct {
 
 	// Shards is the number of home proc-group state partitions the
 	// memory, undo log and directory carve their line-indexed state
-	// into (mem.Sharding). 0 and 1 both mean the historical unsharded
+	// into (mem.Sharding). 0 and 1 both mean the unsharded
 	// layout; larger counts must be powers of two ≤ mem.MaxShards.
 	// The partition count changes how state is stored and how much
 	// snapshot/restore parallelism is available — never what the
 	// machine computes: reports are byte-identical across shard counts.
-	Shards int
+	// It is not persisted: snapshot bytes are shard-independent.
+	Shards int `json:"-"`
 }
 
 // shardCount returns the canonical shard count of c (0 ≡ 1).

@@ -17,30 +17,28 @@ import (
 // content-addressed and self-verifying; campaign.TrialRunner loads it
 // instead of re-running the warmup on cold start).
 //
+// There is one wire layout, and it is shard-independent: memory words,
+// directory columns and log keys are gathered into flat arrays indexed
+// by interned line ID, and Cfg omits Shards. A snapshot therefore
+// encodes to the same bytes at every shard count, and decodes into a
+// machine of any shard count by scattering the flat arrays into the
+// target's mem.Sharding.
+//
 // The codec is deliberately shape-checked rather than trusting: decode
 // refuses a payload whose format version, Config or scheme name does
-// not match the machine it is decoded into. Stream identity (profile
-// pointer, core number, derived burst constants) is never serialized —
-// workload.StateFromImage re-derives it from the target machine, so a
-// stale profile can not be smuggled in through a stored snapshot.
-//
-// Two wire formats coexist. A 1-shard machine writes format 1 — byte
-// identical to the pre-sharding codec, so every snapshot in an existing
-// store stays loadable and a fresh encode reproduces the committed
-// bytes exactly (the flat Mem/Dir arrays and the Shards-less Cfg are
-// reconstructed from the sharded in-memory form). A machine with more
-// than one shard writes format 2: Cfg carries Shards and the memory and
-// directory state serialize per shard, mirroring the in-memory
-// partition so encode/decode can stay a per-shard operation.
+// not match the machine it is decoded into, and a payload whose arrays
+// do not fit that machine's geometry (checkShape), so a malformed
+// payload is an error, never a panic in Restore. Stream identity
+// (profile pointer, core number, derived burst constants) is never
+// serialized — workload.StateFromImage re-derives it from the target
+// machine, so a stale profile can not be smuggled in through a stored
+// snapshot.
 
-// SnapshotFormat is the newest persisted-snapshot schema version. Bump
-// it on any change to the image structs below (or to the semantics of
-// the fields they mirror); stored snapshots with an unknown format are
-// ignored, not migrated. Format 1 (unsharded machines) remains written
-// and readable for bit-compatibility with pre-sharding stores.
-const SnapshotFormat = 2
-
-const snapshotFormatV1 = 1
+// SnapshotFormat is the persisted-snapshot schema version. Bump it on
+// any change to the image structs below (or to the semantics of the
+// fields they mirror); stored snapshots with another format are
+// ignored, not migrated.
+const SnapshotFormat = 3
 
 // microImage mirrors microState.
 type microImage struct {
@@ -98,110 +96,21 @@ type procImage struct {
 	RestoreGen     uint64              `json:"restore_gen"`
 }
 
-// configV1 mirrors the pre-sharding Config field-for-field (no Shards),
-// so a format-1 payload's "cfg" object keeps the historical keys.
-type configV1 struct {
-	NProcs         int
-	L1Size, L1Ways int
-	L2Size, L2Ways int
-	LineBytes      int
-	L1Hit, L2Hit   sim.Cycle
-	MemChannels    int
-	LogBanks       int
-	CkptInterval   uint64
-	DetectLatency  sim.Cycle
-	DepSets        int
-	WSIGBits       int
-	WSIGHashes     int
-	SpinPoll       sim.Cycle
-	InterruptCost  sim.Cycle
-	DWBGap         sim.Cycle
-	Seed           uint64
-}
-
-func configV1Of(c Config) configV1 {
-	return configV1{
-		NProcs: c.NProcs,
-		L1Size: c.L1Size, L1Ways: c.L1Ways,
-		L2Size: c.L2Size, L2Ways: c.L2Ways,
-		LineBytes: c.LineBytes,
-		L1Hit:     c.L1Hit, L2Hit: c.L2Hit,
-		MemChannels:   c.MemChannels,
-		LogBanks:      c.LogBanks,
-		CkptInterval:  c.CkptInterval,
-		DetectLatency: c.DetectLatency,
-		DepSets:       c.DepSets,
-		WSIGBits:      c.WSIGBits,
-		WSIGHashes:    c.WSIGHashes,
-		SpinPoll:      c.SpinPoll,
-		InterruptCost: c.InterruptCost,
-		DWBGap:        c.DWBGap,
-		Seed:          c.Seed,
-	}
-}
-
-// memImageV1 mirrors the pre-sharding mem.MemorySnapshot wire form: a
-// flat ID-indexed word array (untagged fields — the historical keys).
-type memImageV1 struct {
+// memImage is the flat ID-indexed wire form of a memory capture.
+type memImage struct {
 	Words   []mem.Word
 	Nonzero int
 }
 
-// dirImageV1 mirrors the pre-sharding coherence.Snapshot wire form.
-type dirImageV1 struct {
+// dirImage is the flat ID-indexed wire form of a directory capture.
+type dirImage struct {
 	Owner   []int32
 	LWID    []int32
 	Sharers []uint64
 }
 
-// snapshotImageV1 is the format-1 (unsharded) on-disk form of a
-// MachineSnapshot — byte-identical to the pre-sharding codec.
-type snapshotImageV1 struct {
-	Format int      `json:"format"`
-	Cfg    configV1 `json:"cfg"`
-
-	Now    sim.Cycle        `json:"now"`
-	Seq    uint64           `json:"seq"`
-	Events []sim.SavedEvent `json:"events"`
-
-	TotalInstr  uint64 `json:"total_instr"`
-	TargetInstr uint64 `json:"target_instr"`
-
-	Tab  []uint64         `json:"tab"`
-	St   *stats.Stats     `json:"st"`
-	Mem  memImageV1       `json:"mem"`
-	Log  mem.LogImage     `json:"log"`
-	DRAM mem.DRAMSnapshot `json:"dram"`
-	Dir  dirImageV1       `json:"dir"`
-
-	Procs []procImage `json:"procs"`
-
-	// SchemeName is the scheme the snapshot was captured under; decode
-	// refuses a machine running a different one (warm state depends on
-	// the scheme's behaviour during the warmup).
-	SchemeName string `json:"scheme_name"`
-	// Scheme is the SchemePersister-encoded scheme state; nil for a
-	// stateless scheme.
-	Scheme json.RawMessage `json:"scheme,omitempty"`
-}
-
-// memImageV2 is the per-shard wire form of a memory capture.
-type memImageV2 struct {
-	Shards  [][]mem.Word `json:"shards"`
-	Nonzero int          `json:"nonzero"`
-}
-
-// dirImageV2 is the per-shard wire form of a directory capture.
-type dirImageV2 struct {
-	Owner   [][]int32  `json:"owner"`
-	LWID    [][]int32  `json:"lwid"`
-	Sharers [][]uint64 `json:"sharers"`
-	WPP     int        `json:"wpp"`
-}
-
-// snapshotImageV2 is the format-2 (sharded) on-disk form: Cfg carries
-// Shards, and the memory and directory state serialize per shard.
-type snapshotImageV2 struct {
+// snapshotImage is the on-disk form of a MachineSnapshot.
+type snapshotImage struct {
 	Format int    `json:"format"`
 	Cfg    Config `json:"cfg"`
 
@@ -214,15 +123,20 @@ type snapshotImageV2 struct {
 
 	Tab  []uint64         `json:"tab"`
 	St   *stats.Stats     `json:"st"`
-	Mem  memImageV2       `json:"mem"`
+	Mem  memImage         `json:"mem"`
 	Log  mem.LogImage     `json:"log"`
 	DRAM mem.DRAMSnapshot `json:"dram"`
-	Dir  dirImageV2       `json:"dir"`
+	Dir  dirImage         `json:"dir"`
 
 	Procs []procImage `json:"procs"`
 
-	SchemeName string          `json:"scheme_name"`
-	Scheme     json.RawMessage `json:"scheme,omitempty"`
+	// SchemeName is the scheme the snapshot was captured under; decode
+	// refuses a machine running a different one (warm state depends on
+	// the scheme's behaviour during the warmup).
+	SchemeName string `json:"scheme_name"`
+	// Scheme is the SchemePersister-encoded scheme state; nil for a
+	// stateless scheme.
+	Scheme json.RawMessage `json:"scheme,omitempty"`
 }
 
 // encodeProcs builds the per-processor images of s.
@@ -280,9 +194,8 @@ func (m *Machine) encodeScheme(s *MachineSnapshot) (json.RawMessage, error) {
 }
 
 // EncodeSnapshot serializes s, which must have been captured from a
-// machine of m's shape. An unsharded machine writes format 1 (the
-// pre-sharding codec, byte for byte); a sharded machine writes format
-// 2. A stateful scheme must implement SchemePersister; otherwise the
+// machine of m's shape. The bytes do not depend on the shard count. A
+// stateful scheme must implement SchemePersister; otherwise the
 // snapshot is memory-only and encoding fails.
 func (m *Machine) EncodeSnapshot(s *MachineSnapshot) ([]byte, error) {
 	if !s.valid {
@@ -295,43 +208,8 @@ func (m *Machine) EncodeSnapshot(s *MachineSnapshot) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.shardCount() == 1 {
-		owner, lwid, sharers := s.dir.FlatImage()
-		im := snapshotImageV1{
-			Format:      snapshotFormatV1,
-			Cfg:         configV1Of(s.cfg),
-			Now:         s.now,
-			Seq:         s.seq,
-			Events:      s.events,
-			TotalInstr:  s.totalInstr,
-			TargetInstr: s.targetInstr,
-			Tab:         s.tab,
-			St:          s.st,
-			Mem:         memImageV1{Words: s.mem.FlatWords(mem.NewSharding(1)), Nonzero: s.mem.Nonzero()},
-			Log:         s.log.Image(),
-			DRAM:        s.dram,
-			Dir:         dirImageV1{Owner: owner, LWID: lwid, Sharers: sharers},
-			Procs:       encodeProcs(s),
-			SchemeName:  m.Scheme.Name(),
-			Scheme:      scheme,
-		}
-		return json.Marshal(&im)
-	}
-	nsh := s.mem.NumShards()
-	mi := memImageV2{Shards: make([][]mem.Word, nsh), Nonzero: s.mem.Nonzero()}
-	for i := 0; i < nsh; i++ {
-		mi.Shards[i] = s.mem.ShardWords(i)
-	}
-	di := dirImageV2{
-		Owner:   make([][]int32, s.dir.NumShards()),
-		LWID:    make([][]int32, s.dir.NumShards()),
-		Sharers: make([][]uint64, s.dir.NumShards()),
-		WPP:     s.dir.WPP(),
-	}
-	for i := 0; i < s.dir.NumShards(); i++ {
-		di.Owner[i], di.LWID[i], di.Sharers[i] = s.dir.ShardArrays(i)
-	}
-	im := snapshotImageV2{
+	owner, lwid, sharers := s.dir.FlatImage()
+	im := snapshotImage{
 		Format:      SnapshotFormat,
 		Cfg:         s.cfg,
 		Now:         s.now,
@@ -341,10 +219,10 @@ func (m *Machine) EncodeSnapshot(s *MachineSnapshot) ([]byte, error) {
 		TargetInstr: s.targetInstr,
 		Tab:         s.tab,
 		St:          s.st,
-		Mem:         mi,
+		Mem:         memImage{Words: s.mem.FlatWords(), Nonzero: s.mem.Nonzero()},
 		Log:         s.log.Image(),
 		DRAM:        s.dram,
-		Dir:         di,
+		Dir:         dirImage{Owner: owner, LWID: lwid, Sharers: sharers},
 		Procs:       encodeProcs(s),
 		SchemeName:  m.Scheme.Name(),
 		Scheme:      scheme,
@@ -396,9 +274,13 @@ func (m *Machine) decodeProcs(images []procImage) []procSnapshot {
 	return procs
 }
 
-// decodeScheme deserializes the opaque scheme state, if any.
+// decodeScheme deserializes the opaque scheme state. A stateful scheme
+// requires it; a stateless one must not be handed any.
 func (m *Machine) decodeScheme(raw json.RawMessage) (any, error) {
 	if len(raw) == 0 {
+		if _, ok := m.Scheme.(SchemeSnapshotter); ok {
+			return nil, fmt.Errorf("machine: snapshot lacks the state of scheme %s", m.Scheme.Name())
+		}
 		return nil, nil
 	}
 	sp, ok := m.Scheme.(SchemePersister)
@@ -408,53 +290,81 @@ func (m *Machine) decodeScheme(raw json.RawMessage) (any, error) {
 	return sp.DecodeSchemeState(raw)
 }
 
-// checkShape validates the shape fields every format shares.
-func (m *Machine) checkShape(schemeName string, nprocs int, st *stats.Stats) error {
-	if schemeName != m.Scheme.Name() {
-		return fmt.Errorf("machine: snapshot captured under scheme %s, machine runs %s", schemeName, m.Scheme.Name())
+// checkShape validates every decoded array against m's geometry, so a
+// malformed payload fails decode instead of tripping an invariant panic
+// in Restore. ID-indexed arrays may be shorter than the line table
+// (Restore reads a missing tail as untouched lines) but never longer.
+func (m *Machine) checkShape(im *snapshotImage) error {
+	n := m.Cfg.NProcs
+	if im.SchemeName != m.Scheme.Name() {
+		return fmt.Errorf("machine: snapshot captured under scheme %s, machine runs %s", im.SchemeName, m.Scheme.Name())
 	}
-	if nprocs != m.Cfg.NProcs {
-		return fmt.Errorf("machine: snapshot has %d procs, want %d", nprocs, m.Cfg.NProcs)
+	if len(im.Procs) != n {
+		return fmt.Errorf("machine: snapshot has %d procs, want %d", len(im.Procs), n)
 	}
-	if st == nil || st.NProcs != m.Cfg.NProcs {
+	if im.St == nil || im.St.NProcs != n {
 		return fmt.Errorf("machine: snapshot stats shape mismatch")
+	}
+	if err := im.St.CheckShape(); err != nil {
+		return err
+	}
+	for _, ev := range im.Events {
+		if (ev.Tag.Kind != tagStep && ev.Tag.Kind != tagDrain) || ev.Tag.ID < 0 || int(ev.Tag.ID) >= n {
+			return fmt.Errorf("machine: snapshot event tag %+v names no processor task", ev.Tag)
+		}
+	}
+	ids := len(im.Tab)
+	if len(im.Mem.Words) > ids || len(im.Dir.Owner) > ids || len(im.Log.LastPID) > ids {
+		return fmt.Errorf("machine: snapshot arrays (%d words, %d directory entries, %d log keys) exceed its %d-line table",
+			len(im.Mem.Words), len(im.Dir.Owner), len(im.Log.LastPID), ids)
+	}
+	nonzero := 0
+	for _, w := range im.Mem.Words {
+		if w != (mem.Word{}) {
+			nonzero++
+		}
+	}
+	if nonzero != im.Mem.Nonzero {
+		return fmt.Errorf("machine: snapshot memory holds %d non-zero lines, header says %d", nonzero, im.Mem.Nonzero)
+	}
+	if len(im.Log.PerPID) > n {
+		return fmt.Errorf("machine: snapshot log has %d processor lists, want at most %d", len(im.Log.PerPID), n)
+	}
+	if err := m.Ctrl.DRAM().CheckSnapshot(&im.DRAM); err != nil {
+		return err
+	}
+	for i := range im.Procs {
+		pi, p := &im.Procs[i], m.Procs[i]
+		if err := p.l1.CheckSnapshot(&pi.L1); err != nil {
+			return fmt.Errorf("machine: proc %d L1: %w", i, err)
+		}
+		if err := p.l2.CheckSnapshot(&pi.L2); err != nil {
+			return fmt.Errorf("machine: proc %d L2: %w", i, err)
+		}
+		if err := p.deps.CheckSnapshot(&pi.Deps); err != nil {
+			return fmt.Errorf("machine: proc %d: %w", i, err)
+		}
 	}
 	return nil
 }
 
 // DecodeSnapshot deserializes a payload written by EncodeSnapshot into
-// a fresh MachineSnapshot restorable into machines of m's shape. The
-// payload's format version, Config and scheme name must match m: a
-// format-1 payload only decodes into an unsharded machine, a format-2
-// payload only into a machine with the same shard count.
+// a fresh MachineSnapshot restorable into machines of m's shape, at any
+// shard count. The payload's format version, Config (apart from Shards)
+// and scheme name must match m, and its arrays must fit m's geometry.
 func (m *Machine) DecodeSnapshot(data []byte) (*MachineSnapshot, error) {
-	var probe struct {
-		Format int `json:"format"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("machine: decode snapshot: %w", err)
-	}
-	switch probe.Format {
-	case snapshotFormatV1:
-		return m.decodeSnapshotV1(data)
-	case SnapshotFormat:
-		return m.decodeSnapshotV2(data)
-	}
-	return nil, fmt.Errorf("machine: snapshot format %d, want %d or %d", probe.Format, snapshotFormatV1, SnapshotFormat)
-}
-
-func (m *Machine) decodeSnapshotV1(data []byte) (*MachineSnapshot, error) {
-	var im snapshotImageV1
+	var im snapshotImage
 	if err := json.Unmarshal(data, &im); err != nil {
 		return nil, fmt.Errorf("machine: decode snapshot: %w", err)
 	}
-	if m.Cfg.shardCount() != 1 {
-		return nil, fmt.Errorf("machine: format-1 snapshot is unsharded, machine has %d shards", m.Cfg.shardCount())
+	if im.Format != SnapshotFormat {
+		return nil, fmt.Errorf("machine: snapshot format %d, want %d", im.Format, SnapshotFormat)
 	}
-	if im.Cfg != configV1Of(m.Cfg) {
+	im.Cfg.Shards = m.Cfg.Shards
+	if im.Cfg != m.Cfg {
 		return nil, fmt.Errorf("machine: snapshot config mismatch")
 	}
-	if err := m.checkShape(im.SchemeName, len(im.Procs), im.St); err != nil {
+	if err := m.checkShape(&im); err != nil {
 		return nil, err
 	}
 	s := &MachineSnapshot{
@@ -469,63 +379,16 @@ func (m *Machine) decodeSnapshotV1(data []byte) (*MachineSnapshot, error) {
 		dram:        im.DRAM,
 		procs:       m.decodeProcs(im.Procs),
 	}
-	one := mem.NewSharding(1)
-	s.mem.LoadFlatWords(one, im.Mem.Words, im.Mem.Nonzero)
+	sh := mem.NewSharding(m.Cfg.shardCount())
+	s.mem.LoadFlatWords(sh, im.Mem.Words, im.Mem.Nonzero)
 	wpp := (m.Cfg.NProcs + 63) / 64
 	if wpp < 1 {
 		wpp = 1
 	}
-	if err := s.dir.LoadFlatImage(one, im.Dir.Owner, im.Dir.LWID, im.Dir.Sharers, wpp); err != nil {
+	if err := s.dir.LoadFlatImage(sh, im.Dir.Owner, im.Dir.LWID, im.Dir.Sharers, wpp); err != nil {
 		return nil, err
 	}
-	if err := s.log.FromImage(&im.Log, one); err != nil {
-		return nil, err
-	}
-	scheme, err := m.decodeScheme(im.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	s.scheme = scheme
-	s.valid = true
-	s.gen = 1
-	return s, nil
-}
-
-func (m *Machine) decodeSnapshotV2(data []byte) (*MachineSnapshot, error) {
-	var im snapshotImageV2
-	if err := json.Unmarshal(data, &im); err != nil {
-		return nil, fmt.Errorf("machine: decode snapshot: %w", err)
-	}
-	if !sameConfig(im.Cfg, m.Cfg) {
-		return nil, fmt.Errorf("machine: snapshot config mismatch")
-	}
-	if err := m.checkShape(im.SchemeName, len(im.Procs), im.St); err != nil {
-		return nil, err
-	}
-	nsh := m.Cfg.shardCount()
-	if len(im.Mem.Shards) != nsh {
-		return nil, fmt.Errorf("machine: snapshot memory has %d shards, want %d", len(im.Mem.Shards), nsh)
-	}
-	if len(im.Dir.Owner) != nsh {
-		return nil, fmt.Errorf("machine: snapshot directory has %d shards, want %d", len(im.Dir.Owner), nsh)
-	}
-	s := &MachineSnapshot{
-		cfg:         m.Cfg,
-		now:         im.Now,
-		seq:         im.Seq,
-		events:      im.Events,
-		totalInstr:  im.TotalInstr,
-		targetInstr: im.TargetInstr,
-		tab:         im.Tab,
-		st:          im.St,
-		dram:        im.DRAM,
-		procs:       m.decodeProcs(im.Procs),
-	}
-	s.mem.SetShards(im.Mem.Shards, im.Mem.Nonzero)
-	if err := s.dir.SetShards(im.Dir.Owner, im.Dir.LWID, im.Dir.Sharers, im.Dir.WPP); err != nil {
-		return nil, err
-	}
-	if err := s.log.FromImage(&im.Log, mem.NewSharding(nsh)); err != nil {
+	if err := s.log.FromImage(&im.Log, sh); err != nil {
 		return nil, err
 	}
 	scheme, err := m.decodeScheme(im.Scheme)

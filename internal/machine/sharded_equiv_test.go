@@ -112,8 +112,8 @@ func TestShardEquivalenceCampaign(t *testing.T) {
 // TestSharded256ProcSnapshotSmoke is the scale smoke test: a 256-
 // processor, 8-shard machine warms, settles, snapshots; the snapshot
 // survives a divergent continuation and restores byte-identically; the
-// format-2 persistent codec round-trips it; and the parallel save plane
-// is GOMAXPROCS-independent.
+// persistent codec round-trips it; and the parallel save plane is
+// GOMAXPROCS-independent.
 func TestSharded256ProcSnapshotSmoke(t *testing.T) {
 	sc := harness.Scale{
 		Name: "smoke256", ProcsLarge: 256, ProcsSmall: 256,
@@ -142,8 +142,8 @@ func TestSharded256ProcSnapshotSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(enc1, []byte(`"format":2`)) {
-		t.Fatal("sharded snapshot did not encode as format 2")
+	if want := fmt.Sprintf(`"format":%d`, machine.SnapshotFormat); !bytes.Contains(enc1, []byte(want)) {
+		t.Fatalf("sharded snapshot did not encode as format %d", machine.SnapshotFormat)
 	}
 
 	// The parallel save fans per-proc and per-shard tasks across
@@ -194,7 +194,7 @@ func TestSharded256ProcSnapshotSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc1, enc3) {
-		t.Fatal("format-2 decode + re-encode is not byte-identical")
+		t.Fatal("decode + re-encode is not byte-identical")
 	}
 	if err := m2.Restore(snap3); err != nil {
 		t.Fatal(err)
@@ -215,12 +215,11 @@ func TestSharded256ProcSnapshotSmoke(t *testing.T) {
 	}
 }
 
-// TestShardedFormat1PersistCompat pins the compatibility rule from the
-// persist codec (machine/persist.go): an unsharded machine still
-// encodes the pre-sharding format 1 — byte-compatible with snapshots
-// persisted by earlier versions — and Shards=0 and Shards=1 are the
-// same machine, down to the persisted bytes.
-func TestShardedFormat1PersistCompat(t *testing.T) {
+// TestSnapshotBytesShardIndependent pins the persist codec's one
+// layout (machine/persist.go): the shard count is a storage axis only,
+// so a snapshot of the same machine encodes to the same bytes at every
+// shard count, Shards 0 and 1 included, and never names the axis.
+func TestSnapshotBytesShardIndependent(t *testing.T) {
 	encodeAt := func(shards int) []byte {
 		t.Helper()
 		spec := harness.Spec{App: "FFT", Procs: 8, Scheme: "Rebound", Scale: harness.Quick, Shards: shards}
@@ -250,19 +249,18 @@ func TestShardedFormat1PersistCompat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(enc, enc2) {
-			t.Fatal("format-1 decode + re-encode is not byte-identical")
+			t.Fatalf("shards=%d: decode + re-encode is not byte-identical", shards)
 		}
 		return enc
 	}
 
 	enc0 := encodeAt(0)
-	if !bytes.Contains(enc0, []byte(`"format":1`)) {
-		t.Fatal("unsharded snapshot did not encode as legacy format 1")
-	}
 	if bytes.Contains(enc0, []byte(`"Shards"`)) || bytes.Contains(enc0, []byte(`"shards"`)) {
-		t.Fatal("format-1 encoding leaks the shard axis")
+		t.Fatal("snapshot encoding leaks the shard axis")
 	}
-	if !bytes.Equal(enc0, encodeAt(1)) {
-		t.Fatal("Shards=0 and Shards=1 persisted differently; they must be the same machine")
+	for _, shards := range []int{1, 2, 4} {
+		if !bytes.Equal(enc0, encodeAt(shards)) {
+			t.Fatalf("Shards=0 and Shards=%d persisted differently; snapshot bytes must be shard-independent", shards)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -130,10 +132,20 @@ func (d *DRAM) Save(s *DRAMSnapshot) {
 	s.WBFree = append(s.WBFree[:0], d.wbFree...)
 }
 
+// CheckSnapshot reports whether s has d's channel count, Load's
+// precondition.
+func (d *DRAM) CheckSnapshot(s *DRAMSnapshot) error {
+	if len(s.ReadFree) != len(d.readFree) || len(s.WBFree) != len(d.wbFree) {
+		return fmt.Errorf("mem: DRAM snapshot has %d/%d channels, want %d",
+			len(s.ReadFree), len(s.WBFree), len(d.readFree))
+	}
+	return nil
+}
+
 // Load restores the channel state from s.
 func (d *DRAM) Load(s *DRAMSnapshot) {
-	if len(s.ReadFree) != len(d.readFree) {
-		panic("mem: DRAM snapshot channel-count mismatch")
+	if err := d.CheckSnapshot(s); err != nil {
+		panic(err)
 	}
 	copy(d.readFree, s.ReadFree)
 	copy(d.wbFree, s.WBFree)

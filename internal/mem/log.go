@@ -447,7 +447,7 @@ func (l *Log) LoadDelta(s *LogSnapshot) {
 }
 
 // LogImage is the exported, serializable form of a LogSnapshot, used by
-// the persistent-snapshot codec (machine.SnapshotImage). The lastKey
+// the persistent-snapshot codec (machine.EncodeSnapshot). The lastKey
 // slots are split into parallel PID/epoch arrays so the unexported
 // logKey type never leaks into the on-disk schema. The arrays are flat,
 // indexed by interned line ID regardless of the in-memory shard count:

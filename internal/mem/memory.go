@@ -24,7 +24,7 @@ type Word struct {
 // the machine's Sharding (shard = low ID bits, slot = remaining bits);
 // the table is shared with the undo log and the coherence directory so
 // a hot-path transaction interns its address once. A 1-shard memory
-// degenerates to the historical flat layout (shard 0, slot == id).
+// is one flat ID-indexed array (shard 0, slot == id).
 type Memory struct {
 	tab   *LineTable
 	sh    Sharding
@@ -136,7 +136,7 @@ func (m *Memory) idLimit() int32 {
 }
 
 // ForEach calls fn for every non-zero line in interned-ID order (the
-// historical flat-array order, independent of the shard count; callers
+// flat-array order, independent of the shard count; callers
 // that need address order must sort).
 func (m *Memory) ForEach(fn func(addr uint64, w Word)) {
 	limit := m.idLimit()
@@ -181,41 +181,28 @@ func (m *Memory) AnyPoison() (uint64, bool) {
 }
 
 // MemorySnapshot is a saved memory image: one word slice per shard.
-// Save reuses its storage across captures. The flat single-shard form
-// is the historical snapshot layout; FlatWords/LoadFlatWords convert
-// for the format-1 persistent codec.
+// Save reuses its storage across captures. FlatWords/LoadFlatWords
+// convert to and from the flat ID-indexed layout the persistent codec
+// writes at every shard count.
 type MemorySnapshot struct {
 	shards  [][]Word
 	nonzero int
 }
 
-// NumShards returns the number of captured shards (0 for an empty
-// snapshot).
-func (s *MemorySnapshot) NumShards() int { return len(s.shards) }
-
 // Nonzero returns the captured non-zero line count.
 func (s *MemorySnapshot) Nonzero() int { return s.nonzero }
 
-// ShardWords returns the captured words of one shard (not a copy; the
-// caller must not mutate it).
-func (s *MemorySnapshot) ShardWords(i int) []Word { return s.shards[i] }
-
-// SetShards installs captured per-shard words directly (persistent
-// codec decode path).
-func (s *MemorySnapshot) SetShards(shards [][]Word, nonzero int) {
-	s.shards, s.nonzero = shards, nonzero
-}
-
-// FlatWords returns the capture as one flat ID-indexed slice. For a
-// single-shard capture this is the shard itself (zero-copy, and
-// byte-identical to the pre-sharding snapshot layout).
-func (s *MemorySnapshot) FlatWords(sh Sharding) []Word {
+// FlatWords returns the capture as one flat ID-indexed slice, gathered
+// from the capture's own shard layout. For a single-shard capture this
+// is the shard itself (zero-copy).
+func (s *MemorySnapshot) FlatWords() []Word {
 	if len(s.shards) <= 1 {
 		if len(s.shards) == 0 {
 			return nil
 		}
 		return s.shards[0]
 	}
+	sh := NewSharding(len(s.shards))
 	limit := 0
 	for i, ws := range s.shards {
 		if n := len(ws); n > 0 {

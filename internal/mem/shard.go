@@ -12,8 +12,8 @@ import "fmt"
 // IDs interleave across shards by their low bits (shard = id & (n-1),
 // slot = id >> log2(n)): intern order fills every shard uniformly
 // regardless of access pattern, and the single-shard layout is exactly
-// the historical flat layout (shard 0, slot == id), which is what keeps
-// a 1-shard machine bit-compatible with pre-sharding snapshots.
+// the flat ID-indexed layout (shard 0, slot == id) that persisted
+// snapshots use at every shard count.
 //
 // A Sharding is pure arithmetic — it holds no state and is safe to
 // copy and to use concurrently.

@@ -10,7 +10,10 @@
 // counts disagreements.
 package sig
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Signature answers "might this processor have written line addr in the
 // current interval?".
@@ -263,6 +266,25 @@ func (p *Paired) Save(s *PairedSnapshot) {
 	s.Slots = append(s.Slots[:0], p.exact.slots...)
 	s.N, s.HasZero = p.exact.n, p.exact.hasZero
 	s.Tests, s.FalsePositives = p.Tests, p.FalsePositives
+}
+
+// CheckSnapshot reports whether s fits p's Bloom geometry and holds a
+// well-formed exact set: a power-of-two slot array whose occupied-slot
+// count is N and leaves at least one slot empty.
+func (p *Paired) CheckSnapshot(s *PairedSnapshot) error {
+	if len(s.Bloom) != len(p.Bloom.bitsArr) {
+		return fmt.Errorf("sig: snapshot Bloom holds %d words, filter has %d", len(s.Bloom), len(p.Bloom.bitsArr))
+	}
+	n := 0
+	for _, a := range s.Slots {
+		if a != 0 {
+			n++
+		}
+	}
+	if k := len(s.Slots); k == 0 || k&(k-1) != 0 || n != s.N || n == k {
+		return fmt.Errorf("sig: snapshot exact set has %d slots, %d occupied, header says %d", k, n, s.N)
+	}
+	return nil
 }
 
 // Load restores the signature state from s. The Bloom geometry must

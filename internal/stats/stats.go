@@ -136,6 +136,17 @@ func (s *Stats) Snapshot() string {
 	return fmt.Sprintf("%+v", *s)
 }
 
+// CheckShape reports whether every per-core array of s has NProcs
+// entries, the shape New builds.
+func (s *Stats) CheckShape() error {
+	for _, a := range [][]uint64{s.Instructions, s.MemOps, s.WBDelay, s.WBImbalance, s.SyncDelay, s.RollStall} {
+		if len(a) != s.NProcs {
+			return fmt.Errorf("stats: per-core array has %d entries, want %d", len(a), s.NProcs)
+		}
+	}
+	return nil
+}
+
 // CopyInto deep-copies every counter and record of s into dst, reusing
 // dst's slice storage. dst must be sized for the same processor count.
 // It is the capture/restore primitive of the machine snapshot engine:
