@@ -315,8 +315,8 @@ var scalingPairs = []struct {
 	// The fork engine: trial throughput must scale with cores instead
 	// of staying flat (N warmups used to eat the parallelism).
 	{"CampaignTrial", "CampaignTrialParallel", 2.0, true},
-	// The sharded state plane: snapshot/restore of a 256-proc machine
-	// must scale across per-proc/per-shard tasks (machine.parallelDo).
+	// The snapshot plane: snapshot/restore of a 256-proc machine must
+	// scale across per-proc/per-range tasks (machine.parallelDo).
 	{"ShardedSingleCell", "ShardedSingleCellParallel", 1.8, false},
 }
 

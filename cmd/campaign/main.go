@@ -58,7 +58,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "campaign seed (folded into every trial's fault seed)")
 		storeDir = flag.String("store", "", "persist trials/report here and resume interrupted campaigns")
 		workers  = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "machine state-partition count (power of two; 0/1 = unsharded; results are identical)")
+		shards   = flag.Int("shards", 0, "snapshot-plane range split of memory and directory copies (power of two; 0/1 = one range; results are identical)")
 		serial   = flag.Bool("serial", false, "run trials serially (byte-identical to parallel)")
 		jsonOut  = flag.Bool("json", false, "emit the full campaign Report as JSON on stdout")
 		server   = flag.String("server", "", "submit to a running reboundd at this URL instead of simulating locally")

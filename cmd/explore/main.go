@@ -58,7 +58,7 @@ func main() {
 		intervals = flag.String("intervals", "", "comma-separated checkpoint intervals in cycles (empty = the scale's)")
 		wsigbits  = flag.String("wsigbits", "", "comma-separated write-signature widths (empty = machine default)")
 		depsets   = flag.String("depsets", "", "comma-separated dependence-set counts (empty = machine default)")
-		shards    = flag.String("shards", "", "comma-separated state-partition counts (empty = unsharded)")
+		shards    = flag.String("shards", "", "comma-separated snapshot-plane range splits (empty = one range)")
 		trials    = flag.Int("trials", 64, "full per-cell campaign budget in trials")
 		faults    = flag.Int("faults", 2, "transient faults injected per trial")
 		window    = flag.Uint64("window", 0, "fault-injection window in cycles (0 = 100xL)")

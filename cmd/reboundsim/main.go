@@ -33,7 +33,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		baseline = flag.Bool("baseline", false, "also run without checkpointing and report overhead")
 		doFault  = flag.Bool("fault", false, "inject a transient fault mid-run and verify recovery")
-		shards   = flag.Int("shards", 0, "machine state-partition count (power of two; 0/1 = unsharded; results are identical)")
+		shards   = flag.Int("shards", 0, "snapshot-plane range split of memory and directory copies (power of two; 0/1 = one range; results are identical)")
 		list     = flag.Bool("list", false, "list application profiles and exit")
 	)
 	flag.Parse()

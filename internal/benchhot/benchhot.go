@@ -192,10 +192,10 @@ func CampaignTrialParallel(b *testing.B) {
 }
 
 // ShardedCellSpec is the cell the sharded-exec benchmarks measure: a
-// 256-processor machine under Rebound with its state split into 8
-// partitions — large enough that the per-shard and per-processor tasks
-// of the parallel snapshot/restore plane (machine.parallelDo) dominate
-// the per-op cost.
+// 256-processor machine under Rebound with its memory and directory
+// copies split into 8 ranges — large enough that the per-range and
+// per-processor tasks of the parallel snapshot/restore plane
+// (machine.parallelDo) dominate the per-op cost.
 func ShardedCellSpec() harness.Spec {
 	return harness.Spec{
 		App: "FFT", Procs: 256, Scheme: "Rebound",
@@ -275,7 +275,7 @@ func ShardedSingleCell(b *testing.B) { shardedCellBody(b) }
 
 // ShardedSingleCellParallel is the same round trip at
 // GOMAXPROCS=NumCPU: machine.parallelDo fans the per-processor and
-// per-shard save/load tasks across cores. cmd/benchhot gates this row
+// per-range save/load tasks across cores. cmd/benchhot gates this row
 // at >=1.8x the serial row on runners with >=4 cores (no alloc-parity
 // requirement: the worker pool itself allocates a few objects per op,
 // which the serial single-worker path skips).
@@ -295,7 +295,7 @@ var run256 struct {
 
 // Run256 measures the per-instruction cost of a large machine: each op
 // is one committed instruction of a 256-proc FFT machine under the null
-// scheme with its state in 8 partitions, on the sequential sim.Engine
+// scheme with Shards: 8, on the sequential sim.Engine
 // (compare SingleCell, a 16-proc Rebound cell).
 func Run256(b *testing.B) {
 	run256.once.Do(func() {
@@ -311,10 +311,9 @@ func Run256(b *testing.B) {
 	b.StopTimer()
 }
 
-// Fig62SweepSharded is Fig62Sweep with every cell's machine state
-// split into 4 partitions: the whole-figure regression canary for the
-// sharded state plane (results are byte-identical to the unsharded
-// sweep; only the storage layout differs).
+// Fig62SweepSharded is Fig62Sweep with every cell at Shards: 4: the
+// whole-figure regression canary for the range-split snapshot plane
+// (results are byte-identical to the Shards: 0 sweep).
 func Fig62SweepSharded(b *testing.B) {
 	specs := harness.Fig62Specs(harness.Quick)
 	for i := range specs {

@@ -119,14 +119,13 @@ const trialSemantics = "v3"
 // semantics version, the base cell's canonical key and every
 // fault-grid field, in a fixed order.
 //
-// The base's shard count is normalized away first: sharding changes
-// how machine state is stored and parallelized, never what a trial
+// The base's shard count is normalized away first: it changes how the
+// machine's snapshot plane is parallelized, never what a trial
 // simulates, so campaigns differing only in Base.Shards are the same
 // campaign — they share persisted trials, reports and TrialSeed fault
 // placements (the byte-identity the equivalence suite in
-// internal/machine asserts). Warm machine snapshots are NOT shared
-// across shard counts: warmKey uses the un-normalized Base.Key(),
-// because the persisted snapshot encoding is layout-specific.
+// internal/machine asserts). warmKey normalizes it the same way: the
+// persisted snapshot bytes do not depend on it either.
 func (s Spec) Key() string {
 	base := s.Base
 	base.Shards = 0
@@ -313,10 +312,14 @@ const warmSemantics = "warm-v1"
 // the codec's format version, the warmup semantics version, and the
 // full base-cell key. The full key — not just the reuse-relevant subset
 // — because the warm state depends on everything the cell does during
-// warmup, the scheme very much included.
+// warmup, the scheme very much included. Only the shard count is
+// dropped, as in Spec.Key: the payload is the same at every count, so
+// one stored snapshot serves them all.
 func warmKey(spec Spec) string {
+	base := spec.Base
+	base.Shards = 0
 	return fmt.Sprintf("machine-snapshot|fmt=%d|%s|%s",
-		machine.SnapshotFormat, warmSemantics, spec.Base.Key())
+		machine.SnapshotFormat, warmSemantics, base.Key())
 }
 
 // SnapshotStore is the tier a TrialRunner loads its warm snapshot from

@@ -159,6 +159,38 @@ func TestStoredSnapshotColdStart(t *testing.T) {
 	}
 }
 
+// TestStoredSnapshotSharedAcrossShardCounts: the persisted snapshot
+// is the same at every shard count, so a Shards: 4 runner cold-starts
+// from the snapshot a Shards: 0 runner stored — one load, zero warmups
+// — and its trials are byte-identical to the unsharded runner's.
+func TestStoredSnapshotSharedAcrossShardCounts(t *testing.T) {
+	spec := testSpec(4)
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := NewTrialRunnerStored(spec, st)
+	sharded := spec
+	sharded.Base.Shards = 4
+	split := NewTrialRunnerStored(sharded, st)
+	for i := 0; i < 3; i++ {
+		a, err := flat.Run(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := split.Run(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ja, jb := trialJSON(t, a), trialJSON(t, b); !bytes.Equal(ja, jb) {
+			t.Fatalf("trial %d differs across shard counts:\n  shards=0: %s\n  shards=4: %s", i, ja, jb)
+		}
+	}
+	if wu, ld, _, fr := split.Counters(); wu != 0 || ld != 1 || fr != 0 {
+		t.Fatalf("Shards: 4 runner: warmups=%d loads=%d fresh=%d, want 0/1/0", wu, ld, fr)
+	}
+}
+
 // TestCampaignResumeDetectsTornTrialRecord injects the two write
 // failures a crashed campaign can leave behind — a torn (truncated)
 // trial record and a stale record from a different campaign definition

@@ -15,13 +15,11 @@
 // extra dependence-maintenance messages are accounted separately
 // (Table 6.1 row 3).
 //
-// Directory state is stored in dense per-shard slices indexed by
-// interned line IDs (the machine-wide mem.LineTable) through the
-// machine's mem.Sharding (shard = low ID bits, slot = remaining bits):
-// one owner word, one LW-ID word and a fixed number of sharer-bitmap
-// words per line, so a transaction pays a single intern lookup plus two
-// shifts and then runs on dense arrays. A 1-shard directory is one flat
-// ID-indexed array per column. Sharer updates are batched per
+// Directory state is stored in dense slices indexed by interned line
+// IDs (the machine-wide mem.LineTable): one owner word, one LW-ID word
+// and a fixed number of sharer-bitmap words per line, so a transaction
+// pays a single intern lookup and then runs on dense arrays. Sharer
+// updates are batched per
 // transaction: the invalidation fan-out walks the bitmap words inline
 // and accounts messages once, instead of per-sharer closure calls into
 // a heap-allocated bitset.
@@ -74,22 +72,19 @@ type Directory struct {
 	ctrl  *mem.Controller
 	nodes []Node
 	tab   *mem.LineTable
-	sh    mem.Sharding
 
-	// Per-line state, partitioned per shard and indexed by slot.
-	// sharers holds wpp bitmap words per line, carved from one backing
-	// slice per shard.
-	owner   [][]int32
-	lwid    [][]int32
-	sharers [][]uint64
+	// Per-line state, indexed by interned line ID. sharers holds wpp
+	// bitmap words per line.
+	owner   []int32
+	lwid    []int32
+	sharers []uint64
 	wpp     int
 
-	// dirty tracks entries mutated since the last Load/LoadDelta, one
-	// per-shard tracker with one mark per slot covering its owner,
-	// LW-ID and sharer words (cow.Dirty pages those into ranges).
-	// entryID growth is exempt: the appended defaults are exactly what
-	// a load resets a post-capture tail to.
-	dirty []cow.Dirty
+	// dirty tracks entries mutated since the last load, one mark per
+	// line ID covering its owner, LW-ID and sharer words (cow.Dirty
+	// pages those into ranges). entryID growth is exempt: the appended
+	// defaults are exactly what a load resets a post-capture tail to.
+	dirty cow.Dirty
 
 	// L2HitCycles is charged for the remote L2 access on forwarded
 	// requests.
@@ -97,31 +92,22 @@ type Directory struct {
 }
 
 // New returns a directory for the given tiles, sharing the memory
-// controller's line table and adopting its state-partition layout.
+// controller's line table.
 func New(tp *topo.Topology, st *stats.Stats, ctrl *mem.Controller, nodes []Node) *Directory {
 	wpp := (len(nodes) + 63) / 64
 	if wpp < 1 {
 		wpp = 1
 	}
-	sh := ctrl.Memory().Sharding()
 	return &Directory{
 		topo:        tp,
 		st:          st,
 		ctrl:        ctrl,
 		nodes:       nodes,
 		tab:         ctrl.Memory().Table(),
-		sh:          sh,
-		owner:       make([][]int32, sh.N()),
-		lwid:        make([][]int32, sh.N()),
-		sharers:     make([][]uint64, sh.N()),
 		wpp:         wpp,
-		dirty:       make([]cow.Dirty, sh.N()),
 		L2HitCycles: 8,
 	}
 }
-
-// NumShards returns the shard count of the per-line state.
-func (d *Directory) NumShards() int { return len(d.owner) }
 
 // entryID interns line and grows the per-line state to cover it. Other
 // users of the shared table (memory, log) may have interned lines this
@@ -129,44 +115,45 @@ func (d *Directory) NumShards() int { return len(d.owner) }
 // directory traffic.
 func (d *Directory) entryID(line uint64) int32 {
 	id := d.tab.ID(line)
-	shd, sl := d.sh.Shard(id), d.sh.Slot(id)
-	for sl >= len(d.owner[shd]) {
-		d.owner[shd] = append(d.owner[shd], noProc)
-		d.lwid[shd] = append(d.lwid[shd], noProc)
-		for i := 0; i < d.wpp; i++ {
-			d.sharers[shd] = append(d.sharers[shd], 0)
-		}
+	if int(id) >= len(d.owner) {
+		d.grow(int(id) + 1)
 	}
 	return id
 }
 
-// The per-entry accessors below re-derive (shard, slot) on each call
-// rather than holding pointers or sub-slices: entryID growth can
-// reallocate a shard's backing arrays mid-transaction (a Node callback
-// may intern a new line), and two shifts per access is noise next to
-// the intern lookup the transaction already paid.
-
-func (d *Directory) getOwner(id int32) int32 { return d.owner[d.sh.Shard(id)][d.sh.Slot(id)] }
-
-func (d *Directory) setOwner(id int32, v int32) {
-	d.owner[d.sh.Shard(id)][d.sh.Slot(id)] = v
+// grow extends the per-line state to cover n line IDs with the
+// untouched defaults.
+func (d *Directory) grow(n int) {
+	for len(d.owner) < n {
+		d.owner = append(d.owner, noProc)
+		d.lwid = append(d.lwid, noProc)
+		for i := 0; i < d.wpp; i++ {
+			d.sharers = append(d.sharers, 0)
+		}
+	}
 }
 
-func (d *Directory) getLWID(id int32) int32 { return d.lwid[d.sh.Shard(id)][d.sh.Slot(id)] }
+// The per-entry accessors below index the columns on each call rather
+// than holding pointers or sub-slices: entryID growth can reallocate
+// the backing arrays mid-transaction (a Node callback may intern a new
+// line).
 
-func (d *Directory) setLWID(id int32, v int32) {
-	d.lwid[d.sh.Shard(id)][d.sh.Slot(id)] = v
-}
+func (d *Directory) getOwner(id int32) int32 { return d.owner[id] }
+
+func (d *Directory) setOwner(id int32, v int32) { d.owner[id] = v }
+
+func (d *Directory) getLWID(id int32) int32 { return d.lwid[id] }
+
+func (d *Directory) setLWID(id int32, v int32) { d.lwid[id] = v }
 
 // mark flags id's entry dirty for the copy-on-write restore.
-func (d *Directory) mark(id int32) { d.dirty[d.sh.Shard(id)].Mark(d.sh.Slot(id)) }
+func (d *Directory) mark(id int32) { d.dirty.Mark(int(id)) }
 
 // sharerWords returns the sharer bitmap of id. Not stable across
 // entryID growth — re-fetch after any Node callback.
 func (d *Directory) sharerWords(id int32) []uint64 {
-	shd, sl := d.sh.Shard(id), d.sh.Slot(id)
-	off := sl * d.wpp
-	return d.sharers[shd][off : off+d.wpp : off+d.wpp]
+	off := int(id) * d.wpp
+	return d.sharers[off : off+d.wpp : off+d.wpp]
 }
 
 func setBit(w []uint64, i int) { w[i>>6] |= 1 << uint(i&63) }
@@ -187,11 +174,8 @@ func wordsEmpty(w []uint64) bool {
 
 // LWID returns the last-writer field of line (noProc==-1 when null).
 func (d *Directory) LWID(line uint64) int {
-	if id, ok := d.tab.Lookup(line); ok {
-		shd, sl := d.sh.Shard(id), d.sh.Slot(id)
-		if sl < len(d.lwid[shd]) {
-			return int(d.lwid[shd][sl])
-		}
+	if id, ok := d.tab.Lookup(line); ok && int(id) < len(d.lwid) {
+		return int(d.lwid[id])
 	}
 	return noProc
 }
@@ -426,11 +410,9 @@ func (d *Directory) WritebackRetain(pid int, line uint64, data mem.Word, epoch u
 
 // DropShared records the silent eviction of a clean shared line.
 func (d *Directory) DropShared(pid int, line uint64) {
-	if id, ok := d.tab.Lookup(line); ok {
-		if d.sh.Slot(id) < len(d.owner[d.sh.Shard(id)]) {
-			d.mark(id)
-			clrBit(d.sharerWords(id), pid)
-		}
+	if id, ok := d.tab.Lookup(line); ok && int(id) < len(d.owner) {
+		d.mark(id)
+		clrBit(d.sharerWords(id), pid)
 	}
 }
 
@@ -439,220 +421,116 @@ func (d *Directory) DropShared(pid int, line uint64) {
 // on rollback, after pid's caches are invalidated (§3.3.5).
 func (d *Directory) DetachProc(pid int) {
 	w, bit := pid>>6, uint64(1)<<uint(pid&63)
-	for shd := range d.owner {
-		d.dirty[shd].MarkAll()
-		for sl := range d.owner[shd] {
-			if d.owner[shd][sl] == int32(pid) {
-				d.owner[shd][sl] = noProc
-			}
-			if d.lwid[shd][sl] == int32(pid) {
-				d.lwid[shd][sl] = noProc
-			}
+	d.dirty.MarkAll()
+	for id := range d.owner {
+		if d.owner[id] == int32(pid) {
+			d.owner[id] = noProc
 		}
-		for off := w; off < len(d.sharers[shd]); off += d.wpp {
-			d.sharers[shd][off] &^= bit
+		if d.lwid[id] == int32(pid) {
+			d.lwid[id] = noProc
 		}
+	}
+	for off := w; off < len(d.sharers); off += d.wpp {
+		d.sharers[off] &^= bit
 	}
 }
 
-// Snapshot is a saved directory image: the per-shard per-line state
-// arrays. Save reuses its storage across captures. FlatImage /
-// LoadFlatImage convert to and from the flat ID-indexed layout the
-// persistent codec writes at every shard count.
+// Snapshot is a saved directory image: the ID-indexed per-line
+// columns, wpp sharer words per line. Its exported fields are also the
+// persisted form (machine.EncodeSnapshot writes them as they are).
+// SaveBegin reuses its storage across captures.
 type Snapshot struct {
-	owner   [][]int32
-	lwid    [][]int32
-	sharers [][]uint64
-	wpp     int
+	Owner   []int32
+	LWID    []int32
+	Sharers []uint64
 }
 
-// FlatImage returns the capture as flat ID-indexed arrays, gathered
-// from the capture's own shard layout. For a single-shard capture the
-// arrays are the shard's own (zero-copy).
-func (s *Snapshot) FlatImage() (owner, lwid []int32, sharers []uint64) {
-	if len(s.owner) <= 1 {
-		if len(s.owner) == 0 {
-			return nil, nil, nil
-		}
-		return s.owner[0], s.lwid[0], s.sharers[0]
-	}
-	sh := mem.NewSharding(len(s.owner))
-	limit := 0
-	for i := range s.owner {
-		if n := len(s.owner[i]); n > 0 {
-			if id := int(sh.ID(i, n-1)) + 1; id > limit {
-				limit = id
-			}
-		}
-	}
-	owner = make([]int32, limit)
-	lwid = make([]int32, limit)
-	sharers = make([]uint64, limit*s.wpp)
-	for id := 0; id < limit; id++ {
-		shd, sl := sh.Shard(int32(id)), sh.Slot(int32(id))
-		if sl >= len(s.owner[shd]) {
-			owner[id], lwid[id] = noProc, noProc
-			continue
-		}
-		owner[id] = s.owner[shd][sl]
-		lwid[id] = s.lwid[shd][sl]
-		copy(sharers[id*s.wpp:(id+1)*s.wpp], s.sharers[shd][sl*s.wpp:(sl+1)*s.wpp])
-	}
-	return owner, lwid, sharers
+// SaveBegin sizes s for a save split into ID ranges (the machine
+// snapshot executor's parallel save) and returns the number of line
+// IDs to copy. After it, SaveRange calls over disjoint ranges of
+// [0, n) may run concurrently.
+func (d *Directory) SaveBegin(s *Snapshot) (n int) {
+	n = len(d.owner)
+	s.Owner = resize(s.Owner, n)
+	s.LWID = resize(s.LWID, n)
+	s.Sharers = resize(s.Sharers, n*d.wpp)
+	return n
 }
 
-// LoadFlatImage installs flat ID-indexed arrays, scattering them into
-// sh's layout (persistent codec decode path; single-shard captures
-// adopt the slices directly).
-func (s *Snapshot) LoadFlatImage(sh mem.Sharding, owner, lwid []int32, sharers []uint64, wpp int) error {
-	if len(owner) != len(lwid) || len(sharers) != len(owner)*wpp {
-		return fmt.Errorf("coherence: flat snapshot arrays disagree (%d owners, %d lwids, %d sharer words, wpp %d)",
-			len(owner), len(lwid), len(sharers), wpp)
+// resize returns a slice of length n, reusing a's storage when it is
+// large enough. An empty request keeps a nil a nil.
+func resize[T any](a []T, n int) []T {
+	if cap(a) < n {
+		return make([]T, n)
 	}
-	s.wpp = wpp
-	if sh.N() == 1 {
-		s.owner = [][]int32{owner}
-		s.lwid = [][]int32{lwid}
-		s.sharers = [][]uint64{sharers}
-		return nil
-	}
-	s.owner = make([][]int32, sh.N())
-	s.lwid = make([][]int32, sh.N())
-	s.sharers = make([][]uint64, sh.N())
-	for i := range s.owner {
-		n := sh.SlotsFor(len(owner), i)
-		s.owner[i] = make([]int32, n)
-		s.lwid[i] = make([]int32, n)
-		s.sharers[i] = make([]uint64, n*wpp)
-	}
-	for id := range owner {
-		shd, sl := sh.Shard(int32(id)), sh.Slot(int32(id))
-		s.owner[shd][sl] = owner[id]
-		s.lwid[shd][sl] = lwid[id]
-		copy(s.sharers[shd][sl*wpp:(sl+1)*wpp], sharers[id*wpp:(id+1)*wpp])
+	return a[:n]
+}
+
+// SaveRange copies the entries of line IDs [lo, hi) into s.
+func (d *Directory) SaveRange(s *Snapshot, lo, hi int) {
+	copy(s.Owner[lo:hi], d.owner[lo:hi])
+	copy(s.LWID[lo:hi], d.lwid[lo:hi])
+	copy(s.Sharers[lo*d.wpp:hi*d.wpp], d.sharers[lo*d.wpp:hi*d.wpp])
+}
+
+// CheckSnapshot reports whether s fits this directory: its columns
+// must cover the same line IDs, with one sharer bitmap of the
+// directory's width per line.
+func (d *Directory) CheckSnapshot(s *Snapshot) error {
+	if len(s.Owner) != len(s.LWID) || len(s.Sharers) != len(s.Owner)*d.wpp {
+		return fmt.Errorf("coherence: snapshot columns disagree (%d owners, %d lwids, %d sharer words, wpp %d)",
+			len(s.Owner), len(s.LWID), len(s.Sharers), d.wpp)
 	}
 	return nil
 }
 
-// prepare sizes s for n shards, keeping per-shard storage.
-func (s *Snapshot) prepare(n, wpp int) {
-	grow := func(dst [][]int32) [][]int32 {
-		if cap(dst) < n {
-			old := dst
-			dst = make([][]int32, n)
-			copy(dst, old)
-		} else {
-			dst = dst[:n]
-		}
-		return dst
+// LoadBegin starts a restore from s split into ID ranges (the machine
+// snapshot executor's parallel load) and returns the number of line
+// IDs the ranges cover. Entries grown past the capture (lines interned
+// by a discarded trial) are reset to the untouched defaults a fresh
+// build would hold for them; a colder directory grows to the captured
+// size.
+//
+// delta selects the copy-on-write path, which restores only the
+// entries marked dirty since the last load. The caller guarantees the
+// live state was last loaded from this same capture; anything else
+// must take the full path. A live directory smaller than the capture
+// takes a full copy instead.
+//
+// After LoadBegin, LoadRange calls over disjoint ranges of [0, n) may
+// run concurrently; LoadEnd finishes the restore.
+func (d *Directory) LoadBegin(s *Snapshot, delta bool) (n int) {
+	if !delta || len(d.owner) < len(s.Owner) {
+		d.dirty.MarkAll()
+		d.grow(len(s.Owner))
 	}
-	s.owner = grow(s.owner)
-	s.lwid = grow(s.lwid)
-	if cap(s.sharers) < n {
-		old := s.sharers
-		s.sharers = make([][]uint64, n)
-		copy(s.sharers, old)
-	} else {
-		s.sharers = s.sharers[:n]
-	}
-	s.wpp = wpp
+	return len(d.owner)
 }
 
-// Save copies the per-line state into s.
-func (d *Directory) Save(s *Snapshot) {
-	d.SavePrepare(s)
-	for i := range d.owner {
-		d.SaveShard(s, i)
-	}
-}
-
-// SavePrepare sizes s for a per-shard parallel save (machine snapshot
-// executor): after it returns, SaveShard calls for distinct shards are
-// safe concurrently.
-func (d *Directory) SavePrepare(s *Snapshot) { s.prepare(len(d.owner), d.wpp) }
-
-// SaveShard copies one shard's per-line state into s. The caller must
-// have sized s with SavePrepare; distinct shards may be saved
-// concurrently (disjoint storage).
-func (d *Directory) SaveShard(s *Snapshot, i int) {
-	s.owner[i] = append(s.owner[i][:0], d.owner[i]...)
-	s.lwid[i] = append(s.lwid[i][:0], d.lwid[i]...)
-	s.sharers[i] = append(s.sharers[i][:0], d.sharers[i]...)
-}
-
-// Load restores the per-line state from s. Entries grown past the
-// capture (lines interned by a discarded trial) are reset to the
-// untouched defaults a fresh build would hold for them; a colder
-// directory grows to the captured size.
-func (d *Directory) Load(s *Snapshot) {
-	for i := range d.owner {
-		d.LoadShard(s, i)
-	}
-}
-
-// LoadShard restores one shard from s (full copy). Distinct shards may
-// be loaded concurrently.
-func (d *Directory) LoadShard(s *Snapshot, i int) {
-	so, sl, ss := s.owner[i], s.lwid[i], s.sharers[i]
-	for len(d.owner[i]) < len(so) {
-		d.owner[i] = append(d.owner[i], noProc)
-		d.lwid[i] = append(d.lwid[i], noProc)
-		for k := 0; k < d.wpp; k++ {
-			d.sharers[i] = append(d.sharers[i], 0)
-		}
-	}
-	copy(d.owner[i], so)
-	copy(d.lwid[i], sl)
-	copy(d.sharers[i], ss)
-	for k := len(so); k < len(d.owner[i]); k++ {
-		d.owner[i][k] = noProc
-		d.lwid[i][k] = noProc
-	}
-	clear(d.sharers[i][len(ss):])
-	d.dirty[i].Clear()
-}
-
-// LoadDelta restores the per-line state from s touching only the
-// entries mutated since the last load. The caller guarantees the live
-// state was last loaded from this same capture; anything else must use
-// Load. Entries past the captured size revert to the untouched
-// defaults, exactly as in Load.
-func (d *Directory) LoadDelta(s *Snapshot) {
-	for i := range d.owner {
-		d.LoadDeltaShard(s, i)
-	}
-}
-
-// LoadDeltaShard restores one shard from s copying only the pages
-// marked dirty since the last load. Distinct shards may be loaded
-// concurrently; a live shard shorter than the capture falls back to a
-// full load.
-func (d *Directory) LoadDeltaShard(s *Snapshot, i int) {
-	n := len(s.owner[i])
-	if d.dirty[i].All() || len(d.owner[i]) < n {
-		d.LoadShard(s, i)
-		return
-	}
-	d.dirty[i].Pages(len(d.owner[i]), func(lo, hi int) {
-		end := hi
-		if end > n {
-			end = n
-		}
-		if lo < n {
-			copy(d.owner[i][lo:end], s.owner[i][lo:end])
-			copy(d.lwid[i][lo:end], s.lwid[i][lo:end])
-			copy(d.sharers[i][lo*d.wpp:end*d.wpp], s.sharers[i][lo*d.wpp:end*d.wpp])
+// LoadRange restores the entries of line IDs [lo, hi) that LoadBegin's
+// mode selects: captured entries are copied back, entries past the
+// capture revert to their defaults.
+func (d *Directory) LoadRange(s *Snapshot, lo, hi int) {
+	n := len(s.Owner)
+	d.dirty.Pages(lo, hi, func(lo, hi int) {
+		end := min(hi, n)
+		if lo < end {
+			copy(d.owner[lo:end], s.Owner[lo:end])
+			copy(d.lwid[lo:end], s.LWID[lo:end])
+			copy(d.sharers[lo*d.wpp:end*d.wpp], s.Sharers[lo*d.wpp:end*d.wpp])
 		}
 		for k := max(lo, n); k < hi; k++ {
-			d.owner[i][k] = noProc
-			d.lwid[i][k] = noProc
+			d.owner[k] = noProc
+			d.lwid[k] = noProc
 		}
 		if hi > n {
-			clear(d.sharers[i][max(lo, n)*d.wpp : hi*d.wpp])
+			clear(d.sharers[max(lo, n)*d.wpp : hi*d.wpp])
 		}
 	})
-	d.dirty[i].Clear()
 }
+
+// LoadEnd marks the restored directory clean.
+func (d *Directory) LoadEnd() { d.dirty.Clear() }
 
 // CheckInvariants validates the directory against the actual cache
 // contents: an owned entry has no sharers, and every processor the
@@ -661,30 +539,26 @@ func (d *Directory) LoadDeltaShard(s *Snapshot, i int) {
 // currently has a valid copy of line; dirtyAt reports whether it is
 // dirty. Panics on violation; used by tests and debug runs.
 func (d *Directory) CheckInvariants(holds func(pid int, line uint64) (present, dirty bool)) {
-	for shd := range d.owner {
-		for sl := range d.owner[shd] {
-			id := d.sh.ID(shd, sl)
-			line := d.tab.Addr(id)
-			sh := d.sharerWords(id)
-			owner := d.owner[shd][sl]
-			if owner != noProc && !wordsEmpty(sh) {
-				panic(fmt.Sprintf("coherence: line %#x owned by %d but has sharers", line, owner))
-			}
-			for wi, w := range sh {
-				for w != 0 {
-					s := wi<<6 + bits.TrailingZeros64(w)
-					w &= w - 1
-					if present, dirty := holds(s, line); present && dirty {
-						panic(fmt.Sprintf("coherence: line %#x dirty at sharer %d", line, s))
-					}
+	for id, owner := range d.owner {
+		line := d.tab.Addr(int32(id))
+		sh := d.sharerWords(int32(id))
+		if owner != noProc && !wordsEmpty(sh) {
+			panic(fmt.Sprintf("coherence: line %#x owned by %d but has sharers", line, owner))
+		}
+		for wi, w := range sh {
+			for w != 0 {
+				s := wi<<6 + bits.TrailingZeros64(w)
+				w &= w - 1
+				if present, dirty := holds(s, line); present && dirty {
+					panic(fmt.Sprintf("coherence: line %#x dirty at sharer %d", line, s))
 				}
 			}
-			if owner != noProc {
-				// A silently evicted clean-exclusive line is allowed; a
-				// dirty line must never vanish without a writeback.
-				if present, _ := holds(int(owner), line); !present {
-					continue
-				}
+		}
+		if owner != noProc {
+			// A silently evicted clean-exclusive line is allowed; a
+			// dirty line must never vanish without a writeback.
+			if present, _ := holds(int(owner), line); !present {
+				continue
 			}
 		}
 	}

@@ -62,7 +62,7 @@ func (d *Dirty) MarkRange(lo, hi int) {
 }
 
 // MarkAll records that the entire array may have changed (wholesale
-// operations: Reset, DetachProc).
+// operations: DetachProc, a full load).
 func (d *Dirty) MarkAll() { d.all = true }
 
 // All reports whether the whole array is considered dirty.
@@ -76,33 +76,35 @@ func (d *Dirty) Clear() {
 }
 
 // Pages calls fn(lo, hi) for each maximal run of dirty pages, as
-// half-open element ranges clipped to n. With MarkAll set it makes the
-// single call fn(0, n).
-func (d *Dirty) Pages(n int, fn func(lo, hi int)) {
-	if n <= 0 {
+// half-open element ranges clipped to [lo, hi). With MarkAll set it
+// makes the single call fn(lo, hi). Pages only reads the tracker, so
+// calls over disjoint ranges may run concurrently; callers that split
+// one array into page-aligned ranges get every run cut at the range
+// boundaries and nowhere else.
+func (d *Dirty) Pages(lo, hi int, fn func(lo, hi int)) {
+	lo = max(lo, 0)
+	if hi <= lo {
 		return
 	}
 	if d.all {
-		fn(0, n)
+		fn(lo, hi)
 		return
 	}
-	lastPage := (n - 1) >> PageShift
+	first, last := lo>>PageShift, (hi-1)>>PageShift
 	runStart, prev := -1, -2
 	emit := func() {
-		lo := runStart << PageShift
-		hi := (prev + 1) << PageShift
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
+		fn(max(runStart<<PageShift, lo), min((prev+1)<<PageShift, hi))
 	}
-	for wi, w := range d.bits {
-		base := wi << 6
+	for wi := first >> 6; wi < len(d.bits) && wi<<6 <= last; wi++ {
+		w := d.bits[wi]
+		if wi == first>>6 {
+			w &^= 1<<uint(first&63) - 1
+		}
 		for w != 0 {
-			p := base + bits.TrailingZeros64(w)
+			p := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if p > lastPage {
-				continue
+			if p > last {
+				break
 			}
 			if p != prev+1 {
 				if runStart >= 0 {

@@ -59,6 +59,8 @@ type Spec struct {
 	// The search space. Schemes is required; empty Intervals defaults
 	// to the scale's interval, and empty knob axes to the machine
 	// default (0). Axes are sorted and deduplicated by Normalize.
+	// Shards crosses harness.Spec.Shards, the snapshot plane's range
+	// split, which changes parallelism, never a cell's results.
 	Schemes   []string `json:"schemes"`
 	Intervals []uint64 `json:"intervals,omitempty"`
 	WSIGBits  []int    `json:"wsigbits,omitempty"`
@@ -124,7 +126,7 @@ func (s Spec) Normalize() Spec {
 	n.Intervals = dedupU64(n.Intervals)
 	n.WSIGBits = dedupInt(n.WSIGBits)
 	n.DepSets = dedupInt(n.DepSets)
-	// Shards 0 and 1 are the same (unsharded) layout everywhere else;
+	// Shards 0 and 1 both mean one range everywhere else;
 	// canonicalise before dedup so [0 1] is one point, not two.
 	sh := append([]int(nil), n.Shards...)
 	for i, v := range sh {

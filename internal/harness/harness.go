@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -81,12 +80,12 @@ type Spec struct {
 	WSIGBits int
 	DepSets  int
 	LogAllWB bool
-	// Shards is the machine's state-partition count (machine.Config
-	// Shards): 0 and 1 are the unsharded layout, larger powers of two
-	// split the memory/log/directory state per home proc-group. The
-	// axis changes snapshot/restore parallelism, never results —
-	// DeriveSeed ignores it so every shard count replays identical
-	// streams and reports byte-identical stats.
+	// Shards is the number of line-ID ranges the machine's snapshot
+	// plane splits its memory and directory copies into (machine.Config
+	// Shards): 0 and 1 mean one range, larger counts must be powers of
+	// two up to MaxShards. The axis changes snapshot/restore
+	// parallelism, never results — DeriveSeed ignores it so every shard
+	// count replays identical streams and reports byte-identical stats.
 	Shards int
 }
 
@@ -138,13 +137,16 @@ func DefaultProcs(sc Scale, app string) int {
 // MaxDepSets similarly bound the hardware knobs (the ablation sweeps
 // top out at 2048 bits and 6 sets); MinDepSets is the tracker's hard
 // floor (dep.NewTracker panics below 2). MaxIOForce keeps the forced
-// I/O period within a range the profile arithmetic handles.
+// I/O period within a range the profile arithmetic handles. MaxShards
+// bounds the snapshot plane's range split, far above the core count
+// any host gives it.
 const (
 	MaxProcs    = 1024
 	MaxWSIGBits = 1 << 16
 	MinDepSets  = 2
 	MaxDepSets  = 64
 	MaxIOForce  = 1 << 32
+	MaxShards   = 64
 )
 
 // Validate reports whether the spec describes a runnable experiment
@@ -185,8 +187,8 @@ func (s Spec) Validate() error {
 	if s.IOForce > MaxIOForce {
 		return fmt.Errorf("harness: ioforce %d out of range [0, %d]", s.IOForce, uint64(MaxIOForce))
 	}
-	if s.Shards < 0 || s.Shards > mem.MaxShards || (s.Shards > 1 && s.Shards&(s.Shards-1) != 0) {
-		return fmt.Errorf("harness: shards %d must be a power of two in [0, %d]", s.Shards, mem.MaxShards)
+	if s.Shards < 0 || s.Shards > MaxShards || (s.Shards > 1 && s.Shards&(s.Shards-1) != 0) {
+		return fmt.Errorf("harness: shards %d must be a power of two in [0, %d]", s.Shards, MaxShards)
 	}
 	return nil
 }

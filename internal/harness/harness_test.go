@@ -41,6 +41,14 @@ func TestSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	// Shards: a power of two in [0, MaxShards].
+	for _, sh := range []int{0, 1, 2, MaxShards} {
+		s := good
+		s.Shards = sh
+		if err := s.Validate(); err != nil {
+			t.Fatalf("shards=%d rejected: %v", sh, err)
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Spec)
@@ -57,6 +65,9 @@ func TestSpecValidate(t *testing.T) {
 		{"one depset", func(s *Spec) { s.DepSets = 1 }, "depsets"},
 		{"huge depsets", func(s *Spec) { s.DepSets = MaxDepSets + 1 }, "depsets"},
 		{"huge ioforce", func(s *Spec) { s.IOForce = MaxIOForce + 1 }, "ioforce"},
+		{"negative shards", func(s *Spec) { s.Shards = -1 }, "shards"},
+		{"shards not a power of two", func(s *Spec) { s.Shards = 3 }, "shards"},
+		{"huge shards", func(s *Spec) { s.Shards = 2 * MaxShards }, "shards"},
 	}
 	for _, tc := range cases {
 		s := good

@@ -25,10 +25,11 @@ import (
 // influence the simulation, in a fixed order. Two specs with equal keys
 // produce identical Results and share one cache slot.
 func (s Spec) Key() string {
-	// Shards 0 and 1 are both the unsharded layout — and every shard
-	// count computes the same results — but the count changes the
-	// machine's in-memory snapshot layout, so it is part of the cell
-	// identity (canonicalised so 0 and 1 share one cell).
+	// Shards 0 and 1 both mean one snapshot-plane range, and every
+	// shard count computes the same results. The count still stays in
+	// the cell identity (canonicalised so 0 and 1 share one cell), so
+	// stored results keep their addresses. Campaign keys and
+	// warm-snapshot keys drop it.
 	sh := s.Shards
 	if sh <= 1 {
 		sh = 1

@@ -10,34 +10,32 @@
 // interface and the processor-level primitives (pause/resume, snapshot,
 // foreground/background writeback, rollback).
 //
-// # Sharded state plane
+// # Snapshot plane
 //
-// Config.Shards splits the machine's per-line state — mem.Memory's
-// word table, mem.Log's last-writer index, the directory's
-// owner/lwid/sharer columns — into N power-of-two partitions
-// (mem.Sharding: shard = id & (N-1), slot = id >> log2(N), so one
-// shard is one flat ID-indexed array). The shard count is a
-// storage and parallelism axis only: simulated results are
-// byte-identical at every shard count and every GOMAXPROCS, a contract
-// the equivalence suite (sharded_equiv_test.go) enforces under -race.
+// The machine's per-line state — mem.Memory's words, mem.Log's
+// first-writeback keys, the directory's owner/lwid/sharer columns — is
+// one flat slice per column, indexed by interned line ID. Snapshot,
+// Restore and Fork decompose into disjoint tasks fanned across
+// GOMAXPROCS workers (shardexec.go): one per processor, plus
+// Config.Shards contiguous, page-aligned ID ranges each of the memory
+// and directory copies, plus the log and the DRAM model. Shards is a
+// parallelism axis only: simulated results and snapshot bytes are
+// identical at every count and every GOMAXPROCS, a contract the
+// equivalence suite (sharded_equiv_test.go) enforces under -race.
+// Measured on FFT/16 (BenchmarkSnapshotRestore), the per-processor
+// tasks carry the parallel speedup; the range count changes nothing
+// beyond noise. Event execution stays on the one sequential sim.Engine
+// for every scheme, because the functional coherence protocol mutates
+// cross-processor state synchronously inside events.
 //
-// What sharding buys is the state plane: Snapshot, Restore and Fork
-// decompose into disjoint per-processor and per-shard tasks fanned
-// across GOMAXPROCS workers (shardexec.go). Event execution stays on
-// the one sequential sim.Engine for every scheme, because the
-// functional coherence protocol mutates cross-processor state
-// synchronously inside events.
+// # Snapshot format and compatibility
 //
-// # Snapshot formats and compatibility
-//
-// The persistent codec (persist.go) writes one format at every shard
-// count. Memory words, directory columns and log keys are gathered into
-// flat arrays indexed by interned line ID, and the encoded Config omits
+// The persistent codec (persist.go) writes one format. The snapshot's
+// flat arrays are the persisted arrays, and the encoded Config omits
 // Shards, so a snapshot persists to the same bytes at any shard count
-// and decodes into a machine of any shard count (the flat arrays
-// scatter into the target's mem.Sharding). Decode checks every array
-// against the target machine's geometry and returns an error on a
-// mismatch, so a malformed stored payload cannot panic Restore.
+// and decodes into a machine of any shard count. Decode checks every
+// array against the target machine's geometry and returns an error on
+// a mismatch, so a malformed stored payload cannot panic Restore.
 // SnapshotFormat is the format number and is part of every persistent
 // snapshot key (see campaign.warmKey): bump it whenever the encoding
 // changes so stale stored snapshots read as misses that re-warm, never

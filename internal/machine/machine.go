@@ -51,31 +51,20 @@ type Config struct {
 	// Seed drives all pseudo-randomness.
 	Seed uint64
 
-	// Shards is the number of home proc-group state partitions the
-	// memory, undo log and directory carve their line-indexed state
-	// into (mem.Sharding). 0 and 1 both mean the unsharded
-	// layout; larger counts must be powers of two ≤ mem.MaxShards.
-	// The partition count changes how state is stored and how much
-	// snapshot/restore parallelism is available — never what the
-	// machine computes: reports are byte-identical across shard counts.
-	// It is not persisted: snapshot bytes are shard-independent.
+	// Shards is the number of contiguous line-ID ranges the snapshot
+	// plane splits the memory and directory copies into, each its own
+	// parallel task (shardexec.go); 0 and 1 both mean one range. It
+	// changes how state is parallelized — never what the machine
+	// computes or how it is stored: reports and snapshot bytes are
+	// identical at every count. It is not persisted.
 	Shards int `json:"-"`
 }
 
-// shardCount returns the canonical shard count of c (0 ≡ 1).
-func (c Config) shardCount() int {
-	if c.Shards <= 1 {
-		return 1
-	}
-	return c.Shards
-}
-
 // sameConfig reports whether two configs describe the same machine
-// shape, treating Shards 0 and 1 as equal (both are the unsharded
-// layout; snapshots between them are interchangeable).
+// shape. Shards is not part of the shape: it only splits the snapshot
+// plane's copies, so a capture restores at any range count.
 func sameConfig(a, b Config) bool {
-	a.Shards = a.shardCount()
-	b.Shards = b.shardCount()
+	a.Shards, b.Shards = 0, 0
 	return a == b
 }
 
@@ -195,11 +184,10 @@ func New(cfg Config, prof *workload.Profile, scheme Scheme) *Machine {
 	eng := sim.NewEngine()
 	st := stats.New(cfg.NProcs)
 	tp := topo.New(cfg.NProcs)
-	sharding := mem.NewSharding(cfg.shardCount())
 	tab := mem.NewLineTable()
-	memory := mem.NewMemorySharded(tab, sharding)
+	memory := mem.NewMemoryWith(tab)
 	dram := mem.NewDRAM(eng, st, cfg.MemChannels)
-	log := mem.NewLogSharded(st, cfg.LogBanks, tab, sharding)
+	log := mem.NewLogWith(st, cfg.LogBanks, tab)
 	ctrl := mem.NewController(eng, st, memory, dram, log)
 
 	m := &Machine{Cfg: cfg, Eng: eng, St: st, Topo: tp, Ctrl: ctrl, Scheme: scheme, prof: prof}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/coherence"
 	"repro/internal/dep"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -17,12 +18,10 @@ import (
 // content-addressed and self-verifying; campaign.TrialRunner loads it
 // instead of re-running the warmup on cold start).
 //
-// There is one wire layout, and it is shard-independent: memory words,
-// directory columns and log keys are gathered into flat arrays indexed
-// by interned line ID, and Cfg omits Shards. A snapshot therefore
-// encodes to the same bytes at every shard count, and decodes into a
-// machine of any shard count by scattering the flat arrays into the
-// target's mem.Sharding.
+// There is one wire layout: memory words, directory columns and log
+// keys are the snapshot's own flat arrays indexed by interned line ID,
+// and Cfg omits Shards. A snapshot therefore encodes to the same bytes
+// at every shard count and decodes into a machine of any shard count.
 //
 // The codec is deliberately shape-checked rather than trusting: decode
 // refuses a payload whose format version, Config or scheme name does
@@ -96,19 +95,6 @@ type procImage struct {
 	RestoreGen     uint64              `json:"restore_gen"`
 }
 
-// memImage is the flat ID-indexed wire form of a memory capture.
-type memImage struct {
-	Words   []mem.Word
-	Nonzero int
-}
-
-// dirImage is the flat ID-indexed wire form of a directory capture.
-type dirImage struct {
-	Owner   []int32
-	LWID    []int32
-	Sharers []uint64
-}
-
 // snapshotImage is the on-disk form of a MachineSnapshot.
 type snapshotImage struct {
 	Format int    `json:"format"`
@@ -121,12 +107,12 @@ type snapshotImage struct {
 	TotalInstr  uint64 `json:"total_instr"`
 	TargetInstr uint64 `json:"target_instr"`
 
-	Tab  []uint64         `json:"tab"`
-	St   *stats.Stats     `json:"st"`
-	Mem  memImage         `json:"mem"`
-	Log  mem.LogImage     `json:"log"`
-	DRAM mem.DRAMSnapshot `json:"dram"`
-	Dir  dirImage         `json:"dir"`
+	Tab  []uint64           `json:"tab"`
+	St   *stats.Stats       `json:"st"`
+	Mem  mem.MemorySnapshot `json:"mem"`
+	Log  mem.LogImage       `json:"log"`
+	DRAM mem.DRAMSnapshot   `json:"dram"`
+	Dir  coherence.Snapshot `json:"dir"`
 
 	Procs []procImage `json:"procs"`
 
@@ -208,7 +194,6 @@ func (m *Machine) EncodeSnapshot(s *MachineSnapshot) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	owner, lwid, sharers := s.dir.FlatImage()
 	im := snapshotImage{
 		Format:      SnapshotFormat,
 		Cfg:         s.cfg,
@@ -219,10 +204,10 @@ func (m *Machine) EncodeSnapshot(s *MachineSnapshot) ([]byte, error) {
 		TargetInstr: s.targetInstr,
 		Tab:         s.tab,
 		St:          s.st,
-		Mem:         memImage{Words: s.mem.FlatWords(), Nonzero: s.mem.Nonzero()},
+		Mem:         s.mem,
 		Log:         s.log.Image(),
 		DRAM:        s.dram,
-		Dir:         dirImage{Owner: owner, LWID: lwid, Sharers: sharers},
+		Dir:         s.dir,
 		Procs:       encodeProcs(s),
 		SchemeName:  m.Scheme.Name(),
 		Scheme:      scheme,
@@ -330,6 +315,9 @@ func (m *Machine) checkShape(im *snapshotImage) error {
 	if len(im.Log.PerPID) > n {
 		return fmt.Errorf("machine: snapshot log has %d processor lists, want at most %d", len(im.Log.PerPID), n)
 	}
+	if err := m.Dir.CheckSnapshot(&im.Dir); err != nil {
+		return err
+	}
 	if err := m.Ctrl.DRAM().CheckSnapshot(&im.DRAM); err != nil {
 		return err
 	}
@@ -360,8 +348,7 @@ func (m *Machine) DecodeSnapshot(data []byte) (*MachineSnapshot, error) {
 	if im.Format != SnapshotFormat {
 		return nil, fmt.Errorf("machine: snapshot format %d, want %d", im.Format, SnapshotFormat)
 	}
-	im.Cfg.Shards = m.Cfg.Shards
-	if im.Cfg != m.Cfg {
+	if !sameConfig(im.Cfg, m.Cfg) {
 		return nil, fmt.Errorf("machine: snapshot config mismatch")
 	}
 	if err := m.checkShape(&im); err != nil {
@@ -376,19 +363,12 @@ func (m *Machine) DecodeSnapshot(data []byte) (*MachineSnapshot, error) {
 		targetInstr: im.TargetInstr,
 		tab:         im.Tab,
 		st:          im.St,
+		mem:         im.Mem,
 		dram:        im.DRAM,
+		dir:         im.Dir,
 		procs:       m.decodeProcs(im.Procs),
 	}
-	sh := mem.NewSharding(m.Cfg.shardCount())
-	s.mem.LoadFlatWords(sh, im.Mem.Words, im.Mem.Nonzero)
-	wpp := (m.Cfg.NProcs + 63) / 64
-	if wpp < 1 {
-		wpp = 1
-	}
-	if err := s.dir.LoadFlatImage(sh, im.Dir.Owner, im.Dir.LWID, im.Dir.Sharers, wpp); err != nil {
-		return nil, err
-	}
-	if err := s.log.FromImage(&im.Log, sh); err != nil {
+	if err := s.log.FromImage(&im.Log); err != nil {
 		return nil, err
 	}
 	scheme, err := m.decodeScheme(im.Scheme)

@@ -126,7 +126,7 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 // FuzzDecodeSnapshot: whatever the bytes, DecodeSnapshot either returns
 // an error or a snapshot that Restore accepts or refuses without
 // panicking. The target has a third shard count, so the seeds also
-// exercise the scatter into another layout.
+// exercise decoding into a machine of another range split.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(fft4Payload(f, 1))
 	f.Add(fft4Payload(f, 4))

@@ -1,8 +1,8 @@
-// The sharded-state equivalence suite (external test package: it
-// drives the machine through the harness and campaign layers, which
-// import machine).
+// The shard-count equivalence suite (external test package: it drives
+// the machine through the harness and campaign layers, which import
+// machine).
 //
-// The shard count is a storage/parallelism axis, never a results axis:
+// The shard count is a parallelism axis, never a results axis:
 // for every scheme, every shard count and every GOMAXPROCS setting the
 // machine must produce byte-identical simulated state, stats and
 // campaign reports. These tests run under -race in CI at GOMAXPROCS 1,
@@ -14,6 +14,7 @@ package machine_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 var shardCounts = []int{1, 2, 4}
@@ -146,7 +148,7 @@ func TestSharded256ProcSnapshotSmoke(t *testing.T) {
 		t.Fatalf("sharded snapshot did not encode as format %d", machine.SnapshotFormat)
 	}
 
-	// The parallel save fans per-proc and per-shard tasks across
+	// The parallel save fans per-proc and per-range tasks across
 	// GOMAXPROCS workers over disjoint state; the captured bytes must
 	// not depend on the worker count.
 	old := runtime.GOMAXPROCS(1)
@@ -216,7 +218,7 @@ func TestSharded256ProcSnapshotSmoke(t *testing.T) {
 }
 
 // TestSnapshotBytesShardIndependent pins the persist codec's one
-// layout (machine/persist.go): the shard count is a storage axis only,
+// layout (machine/persist.go): the shard count is a parallelism axis only,
 // so a snapshot of the same machine encodes to the same bytes at every
 // shard count, Shards 0 and 1 included, and never names the axis.
 func TestSnapshotBytesShardIndependent(t *testing.T) {
@@ -261,6 +263,90 @@ func TestSnapshotBytesShardIndependent(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		if !bytes.Equal(enc0, encodeAt(shards)) {
 			t.Fatalf("Shards=0 and Shards=%d persisted differently; snapshot bytes must be shard-independent", shards)
+		}
+	}
+}
+
+// TestShardsNotPowerOfTwoRuns: machine.New takes any range count (the
+// power-of-two rule lives in harness.Spec.Validate, which answers a
+// request with an error). A Shards: 3 machine builds, runs to the same
+// state as Shards: 1, and its three-way range-split snapshot plane
+// restores it exactly, by the full and the delta path.
+func TestShardsNotPowerOfTwoRuns(t *testing.T) {
+	run := func(shards int) (*machine.Machine, string) {
+		t.Helper()
+		spec := harness.Spec{App: "FFT", Procs: 8, Scheme: "Rebound", Scale: harness.Quick}
+		sch, err := harness.SchemeFor(spec.Scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := machine.DefaultConfig(spec.Procs)
+		cfg.CkptInterval, cfg.DetectLatency = spec.Scale.Interval, spec.Scale.DetectLatency
+		cfg.Seed, cfg.Shards = harness.DeriveSeed(spec), shards
+		m := machine.New(cfg, workload.ByName(spec.App), sch)
+		m.Run(spec.Scale.InstrPerProc * uint64(spec.Procs) / 4)
+		if !m.SettleForSnapshot(sim.Cycle(400_000)) {
+			t.Fatal("machine never reached a snapshot-safe point")
+		}
+		return m, equivFingerprint(m)
+	}
+	_, ref := run(1)
+	m, fp := run(3)
+	if fp != ref {
+		t.Fatal("Shards: 3 diverged from Shards: 1")
+	}
+	snap := new(machine.MachineSnapshot)
+	if err := m.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	// The continuation from the captured point is the reference: a
+	// restore that lost directory or log state would time it
+	// differently.
+	m.RunCycles(50_000)
+	cont := equivFingerprint(m)
+	for _, path := range []string{"full", "delta"} {
+		if err := m.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if equivFingerprint(m) != fp {
+			t.Fatalf("%s restore at Shards: 3 did not return to the captured state", path)
+		}
+		if m.RunCycles(50_000); equivFingerprint(m) != cont {
+			t.Fatalf("run after the %s restore at Shards: 3 diverged", path)
+		}
+	}
+}
+
+// TestSnapshotBytesGolden pins the persisted bytes of format
+// SnapshotFormat: the FFT/4 quick Rebound payload at the campaign warm
+// point, at Shards 0, 1, 2 and 4. A change here must come with a
+// SnapshotFormat bump (stored snapshots would otherwise misload) or be
+// an intended change to what the machine simulates.
+func TestSnapshotBytesGolden(t *testing.T) {
+	const (
+		wantLen = 2_302_899
+		wantSHA = "8651a690ea9ba2f774dee4ac5f6870019199d3a3919dc3f1b3b18f0aef4b5ba5"
+	)
+	for _, shards := range []int{0, 1, 2, 4} {
+		spec := harness.Spec{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: harness.Quick, Shards: shards}
+		m, err := harness.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run(spec.Scale.InstrPerProc * uint64(spec.Procs) / 4)
+		if !m.SettleForSnapshot(sim.Cycle(400_000)) {
+			t.Fatal("machine never reached a snapshot-safe point")
+		}
+		s := new(machine.MachineSnapshot)
+		if err := m.Snapshot(s); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := m.EncodeSnapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != wantLen || sum != wantSHA {
+			t.Fatalf("shards=%d: payload %d bytes sha256 %s, want %d bytes %s", shards, len(enc), sum, wantLen, wantSHA)
 		}
 	}
 }

@@ -176,8 +176,8 @@ func (m *Machine) Snapshot(s *MachineSnapshot) error {
 	} else {
 		s.procs = s.procs[:len(m.Procs)]
 	}
-	// Per-proc and per-shard state decomposes into disjoint tasks; the
-	// parallel executor fans them across cores (shardexec.go).
+	// Per-proc state and the per-line ID ranges decompose into disjoint
+	// tasks; the parallel executor fans them across cores (shardexec.go).
 	m.saveParallel(s)
 	if sc, ok := m.Scheme.(SchemeSnapshotter); ok {
 		s.scheme = sc.SchemeSnapshot()
@@ -220,8 +220,9 @@ func (m *Machine) Restore(s *MachineSnapshot) error {
 	m.Eng.Load(s.now, s.seq, s.events, m.resolveTag)
 	m.totalInstr, m.targetInstr = s.totalInstr, s.targetInstr
 	s.st.CopyInto(m.St)
-	// Per-proc and per-shard state loads as disjoint parallel tasks
-	// (shardexec.go); the delta flag selects the copy-on-write path.
+	// Per-proc state and the per-line ID ranges load as disjoint
+	// parallel tasks (shardexec.go); the delta flag selects the
+	// copy-on-write path.
 	m.loadParallel(s, m.restoredFrom == s && m.restoredGen == s.gen)
 	m.OnTaint = nil
 	if sc, ok := m.Scheme.(SchemeSnapshotter); ok {

@@ -60,17 +60,14 @@ type Log struct {
 	nextSeq uint64
 	banks   int
 	tab     *LineTable
-	sh      Sharding
 
 	// lastKey implements ReVive's "log only the first writeback of a
 	// line per checkpoint interval" optimisation: a writeback is not
 	// logged again if the most recent log entry for the line came from
-	// the same (pid, epoch). Partitioned per shard and indexed by slot
-	// (flat slices, not a map: Append is on the writeback hot path).
-	// The entry lists above are already partitioned per processor, so
-	// lastKey is the only log state the machine-wide Sharding touches.
-	// See log_test.go for why any weaker condition would be unsound.
-	lastKey [][]logKey
+	// the same (pid, epoch). Indexed by interned line ID (a flat slice,
+	// not a map: Append is on the writeback hot path). See log_test.go
+	// for why any weaker condition would be unsound.
+	lastKey []logKey
 
 	// minEpoch[pid] is the smallest epoch among pid's live entries
 	// (noEntries when it has none). Truncate uses it to skip the scan
@@ -86,35 +83,26 @@ type Log struct {
 	sinceStub uint64
 
 	// Dirty tracking for the snapshot engine's copy-on-write restore:
-	// pidDirty[pid] marks a per-processor entry list whose contents
-	// changed since the last load, lkDirty the mutated pages of each
-	// lastKey shard. minEpoch and the scalar counters are small enough
-	// to copy unconditionally.
+	// pidDirty[pid] marks a per-processor entry list (and with it its
+	// epoch floor) whose contents changed since the last load, lkDirty
+	// the mutated pages of lastKey. The scalar counters are copied
+	// unconditionally.
 	pidDirty []bool
-	lkDirty  []cow.Dirty
+	lkDirty  cow.Dirty
 }
 
-// NewLog returns an unsharded log banked banks ways with its own line
-// table.
+// NewLog returns a log banked banks ways with its own line table.
 func NewLog(st *stats.Stats, banks int) *Log {
 	return NewLogWith(st, banks, NewLineTable())
 }
 
-// NewLogWith returns an unsharded log indexing lines through tab
-// (shared with the machine's Memory and Directory).
+// NewLogWith returns a log indexing lines through tab (shared with the
+// machine's Memory and Directory).
 func NewLogWith(st *stats.Stats, banks int, tab *LineTable) *Log {
-	return NewLogSharded(st, banks, tab, NewSharding(1))
-}
-
-// NewLogSharded returns a log indexing lines through tab with its
-// first-writeback keys partitioned by sh (the machine-wide Sharding).
-func NewLogSharded(st *stats.Stats, banks int, tab *LineTable, sh Sharding) *Log {
 	if banks < 1 {
 		banks = 1
 	}
-	return &Log{st: st, banks: banks, tab: tab, sh: sh,
-		lastKey: make([][]logKey, sh.N()),
-		lkDirty: make([]cow.Dirty, sh.N())}
+	return &Log{st: st, banks: banks, tab: tab}
 }
 
 // adoptTable re-points the log at tab (the machine-wide shared table).
@@ -124,12 +112,7 @@ func (l *Log) adoptTable(tab *LineTable) {
 	if l.tab == tab {
 		return
 	}
-	for _, ks := range l.lastKey {
-		if len(ks) > 0 {
-			panic("mem: log cannot switch line tables after use")
-		}
-	}
-	if l.total > 0 {
+	if len(l.lastKey) > 0 || l.total > 0 {
 		panic("mem: log cannot switch line tables after use")
 	}
 	l.tab = tab
@@ -138,23 +121,19 @@ func (l *Log) adoptTable(tab *LineTable) {
 // Banks returns the bank count.
 func (l *Log) Banks() int { return l.banks }
 
-// Sharding returns the first-writeback key layout.
-func (l *Log) Sharding() Sharding { return l.sh }
-
 // Len returns the number of live entries.
 func (l *Log) Len() int { return l.total }
 
 // Bytes returns the current log footprint.
 func (l *Log) Bytes() uint64 { return uint64(l.total) * EntryBytes }
 
-// keyAt returns the first-writeback key slot of id, growing its shard
-// to cover it. It also reports the (shard, slot) pair for dirty marks.
-func (l *Log) keyAt(id int32) (*logKey, int, int) {
-	sh, sl := l.sh.Shard(id), l.sh.Slot(id)
-	for sl >= len(l.lastKey[sh]) {
-		l.lastKey[sh] = append(l.lastKey[sh], logKey{pid: -1})
+// keyAt returns the first-writeback key slot of id, growing lastKey to
+// cover it.
+func (l *Log) keyAt(id int32) *logKey {
+	for int(id) >= len(l.lastKey) {
+		l.lastKey = append(l.lastKey, logKey{pid: -1})
 	}
-	return &l.lastKey[sh][sl], sh, sl
+	return &l.lastKey[id]
 }
 
 func (l *Log) growPID(pid int) {
@@ -187,7 +166,7 @@ func (l *Log) Append(pid int, epoch uint64, line uint64, old Word, at sim.Cycle)
 
 // AppendID is Append for a caller that already interned line as id.
 func (l *Log) AppendID(pid int, epoch uint64, id int32, line uint64, old Word, at sim.Cycle) bool {
-	k, ksh, ksl := l.keyAt(id)
+	k := l.keyAt(id)
 	if !l.AlwaysLog && k.pid == int32(pid) && k.epoch == epoch {
 		return false
 	}
@@ -198,7 +177,7 @@ func (l *Log) AppendID(pid int, epoch uint64, id int32, line uint64, old Word, a
 	})
 	l.total++
 	l.pidDirty[pid] = true
-	l.lkDirty[ksh].Mark(ksl)
+	l.lkDirty.Mark(int(id))
 	k.pid, k.epoch = int32(pid), epoch
 	if epoch < l.minEpoch[pid] {
 		l.minEpoch[pid] = epoch
@@ -258,9 +237,9 @@ func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word
 		// Invalidate the first-writeback key so a re-executed interval
 		// logs afresh.
 		id := l.tab.ID(e.Line)
-		if k, ksh, ksl := l.keyAt(id); k.pid == int32(e.PID) && k.epoch == e.Epoch {
+		if k := l.keyAt(id); k.pid == int32(e.PID) && k.epoch == e.Epoch {
 			k.pid = -1
-			l.lkDirty[ksh].Mark(ksl)
+			l.lkDirty.Mark(int(id))
 		}
 	}
 	l.total -= len(undo)
@@ -294,27 +273,16 @@ func (l *Log) Truncate(safe map[int]uint64) int {
 }
 
 // LogSnapshot is a saved log image: per-processor entry lists, the
-// per-shard first-writeback keys and the epoch floors. Save reuses its
+// ID-indexed first-writeback keys and the epoch floors. Save reuses its
 // storage.
 type LogSnapshot struct {
 	perPID    [][]Entry
-	lastKey   [][]logKey // per shard, same layout as Log.lastKey
+	lastKey   []logKey
 	minEpoch  []uint64
 	total     int
 	nextSeq   uint64
 	sinceStub uint64
 	alwaysLog bool
-}
-
-// prepareKeys sizes s.lastKey for n shards, keeping per-shard storage.
-func (s *LogSnapshot) prepareKeys(n int) {
-	if cap(s.lastKey) < n {
-		old := s.lastKey
-		s.lastKey = make([][]logKey, n)
-		copy(s.lastKey, old)
-	} else {
-		s.lastKey = s.lastKey[:n]
-	}
 }
 
 // Save copies the log state into s.
@@ -327,17 +295,9 @@ func (l *Log) Save(s *LogSnapshot) {
 		s.perPID = s.perPID[:len(l.perPID)]
 	}
 	for pid := range l.perPID {
-		if cap(s.perPID[pid]) < len(l.perPID[pid]) {
-			s.perPID[pid] = make([]Entry, len(l.perPID[pid]))
-		} else {
-			s.perPID[pid] = s.perPID[pid][:len(l.perPID[pid])]
-		}
-		copy(s.perPID[pid], l.perPID[pid])
+		s.perPID[pid] = append(s.perPID[pid][:0], l.perPID[pid]...)
 	}
-	s.prepareKeys(len(l.lastKey))
-	for i := range l.lastKey {
-		s.lastKey[i] = append(s.lastKey[i][:0], l.lastKey[i]...)
-	}
+	s.lastKey = append(s.lastKey[:0], l.lastKey...)
 	s.minEpoch = append(s.minEpoch[:0], l.minEpoch...)
 	s.total, s.nextSeq, s.sinceStub = l.total, l.nextSeq, l.sinceStub
 	s.alwaysLog = l.AlwaysLog
@@ -351,108 +311,73 @@ func (l *Log) Save(s *LogSnapshot) {
 func (l *Log) Load(s *LogSnapshot) {
 	l.growPID(len(s.perPID) - 1)
 	for pid := range l.perPID {
-		if pid < len(s.perPID) {
-			l.perPID[pid] = append(l.perPID[pid][:0], s.perPID[pid]...)
-			l.minEpoch[pid] = s.minEpoch[pid]
-		} else {
-			l.perPID[pid] = l.perPID[pid][:0]
-			l.minEpoch[pid] = noEntries
+		l.loadPID(s, pid)
+	}
+	l.lkDirty.MarkAll()
+	l.finishLoad(s)
+}
+
+// LoadDelta restores the log from s touching only the state mutated
+// since the last load: the per-processor lists (with their epoch
+// floors) flagged dirty, the mutated pages of the first-writeback keys,
+// and the scalar counters. The caller guarantees the live state was
+// last loaded from this same capture; anything else must use Load.
+func (l *Log) LoadDelta(s *LogSnapshot) {
+	if len(l.perPID) < len(s.perPID) {
+		l.Load(s)
+		return
+	}
+	for pid := range l.perPID {
+		if l.pidDirty[pid] {
+			l.loadPID(s, pid)
 		}
 	}
-	for i := range l.lastKey {
-		l.loadKeysShard(s, i)
+	l.finishLoad(s)
+}
+
+// loadPID restores one processor's entry list and epoch floor from s.
+func (l *Log) loadPID(s *LogSnapshot, pid int) {
+	if pid < len(s.perPID) {
+		l.perPID[pid] = append(l.perPID[pid][:0], s.perPID[pid]...)
+		l.minEpoch[pid] = s.minEpoch[pid]
+	} else {
+		l.perPID[pid] = l.perPID[pid][:0]
+		l.minEpoch[pid] = noEntries
 	}
+}
+
+// finishLoad restores the first-writeback key pages lkDirty selects
+// (a live array shorter than the capture grows and takes a full copy;
+// keys past the capture revert to the no-entry default) and the
+// scalar state, and marks the log clean.
+func (l *Log) finishLoad(s *LogSnapshot) {
+	n := len(s.lastKey)
+	if len(l.lastKey) < n {
+		l.lkDirty.MarkAll()
+		for len(l.lastKey) < n {
+			l.lastKey = append(l.lastKey, logKey{pid: -1})
+		}
+	}
+	l.lkDirty.Pages(0, len(l.lastKey), func(lo, hi int) {
+		copy(l.lastKey[lo:hi], s.lastKey[min(lo, n):min(hi, n)])
+		for j := max(lo, n); j < hi; j++ {
+			l.lastKey[j] = logKey{pid: -1}
+		}
+	})
 	l.total, l.nextSeq, l.sinceStub = s.total, s.nextSeq, s.sinceStub
 	// AlwaysLog is part of the captured behaviour: a snapshot of a
 	// log-ablation machine restored into a default-built one (the
 	// cross-machine restore path) must keep logging every writeback.
 	l.AlwaysLog = s.alwaysLog
-	l.clearDirty()
-}
-
-// loadKeysShard restores one lastKey shard from s in full.
-func (l *Log) loadKeysShard(s *LogSnapshot, i int) {
-	sk := s.lastKey[i]
-	for len(l.lastKey[i]) < len(sk) {
-		l.lastKey[i] = append(l.lastKey[i], logKey{pid: -1})
-	}
-	copy(l.lastKey[i], sk)
-	for j := len(sk); j < len(l.lastKey[i]); j++ {
-		l.lastKey[i][j] = logKey{pid: -1}
-	}
-	l.lkDirty[i].Clear()
-}
-
-func (l *Log) clearDirty() {
-	for i := range l.pidDirty {
-		l.pidDirty[i] = false
-	}
-	for i := range l.lkDirty {
-		l.lkDirty[i].Clear()
-	}
-}
-
-// LoadDelta restores the log from s touching only the state mutated
-// since the last load: the per-processor lists flagged dirty, the
-// mutated pages of each first-writeback key shard, and the (small)
-// epoch floors and scalar counters. The caller guarantees the live
-// state was last loaded from this same capture; anything else must use
-// Load.
-func (l *Log) LoadDelta(s *LogSnapshot) {
-	if len(l.perPID) < len(s.perPID) || len(l.lastKey) != len(s.lastKey) {
-		l.Load(s)
-		return
-	}
-	for pid := range l.perPID {
-		if !l.pidDirty[pid] {
-			continue
-		}
-		if pid < len(s.perPID) {
-			l.perPID[pid] = append(l.perPID[pid][:0], s.perPID[pid]...)
-		} else {
-			l.perPID[pid] = l.perPID[pid][:0]
-		}
-	}
-	for i := range l.lastKey {
-		sk := s.lastKey[i]
-		if len(l.lastKey[i]) < len(sk) {
-			l.loadKeysShard(s, i)
-			continue
-		}
-		l.lkDirty[i].Pages(len(l.lastKey[i]), func(lo, hi int) {
-			n := len(sk)
-			if lo < n {
-				end := hi
-				if end > n {
-					end = n
-				}
-				copy(l.lastKey[i][lo:end], sk[lo:end])
-			}
-			for j := max(lo, n); j < hi; j++ {
-				l.lastKey[i][j] = logKey{pid: -1}
-			}
-		})
-		l.lkDirty[i].Clear()
-	}
-	for pid := range l.minEpoch {
-		if pid < len(s.minEpoch) {
-			l.minEpoch[pid] = s.minEpoch[pid]
-		} else {
-			l.minEpoch[pid] = noEntries
-		}
-	}
-	l.total, l.nextSeq, l.sinceStub = s.total, s.nextSeq, s.sinceStub
-	l.AlwaysLog = s.alwaysLog
-	l.clearDirty()
+	clear(l.pidDirty)
+	l.lkDirty.Clear()
 }
 
 // LogImage is the exported, serializable form of a LogSnapshot, used by
 // the persistent-snapshot codec (machine.EncodeSnapshot). The lastKey
-// slots are split into parallel PID/epoch arrays so the unexported
-// logKey type never leaks into the on-disk schema. The arrays are flat,
-// indexed by interned line ID regardless of the in-memory shard count:
-// the on-disk schema stays layout-independent, and a snapshot encoded
-// at one shard count decodes at any other.
+// slots are split into parallel PID/epoch arrays, indexed by interned
+// line ID, so the unexported logKey type never leaks into the on-disk
+// schema.
 type LogImage struct {
 	PerPID    [][]Entry `json:"per_pid"`
 	LastPID   []int32   `json:"last_pid"`
@@ -464,28 +389,12 @@ type LogImage struct {
 	AlwaysLog bool      `json:"always_log"`
 }
 
-// Image converts the snapshot to its serializable form, gathering the
-// per-shard key slots back into one ID-indexed array. The shard count is
-// the snapshot's own (len(s.lastKey)); slots a shard never grew read as
-// the no-entry key, exactly what the flat layout would have held.
+// Image converts the snapshot to its serializable form.
 func (s *LogSnapshot) Image() LogImage {
-	n := len(s.lastKey)
-	if n == 0 {
-		n = 1
-	}
-	sh := NewSharding(n)
-	ids := 0
-	for i := range s.lastKey {
-		if ln := len(s.lastKey[i]); ln > 0 {
-			if lim := int(sh.ID(i, ln-1)) + 1; lim > ids {
-				ids = lim
-			}
-		}
-	}
 	im := LogImage{
 		PerPID:    make([][]Entry, len(s.perPID)),
-		LastPID:   make([]int32, ids),
-		LastEpoch: make([]uint64, ids),
+		LastPID:   make([]int32, len(s.lastKey)),
+		LastEpoch: make([]uint64, len(s.lastKey)),
 		MinEpoch:  append([]uint64(nil), s.minEpoch...),
 		Total:     s.total,
 		NextSeq:   s.nextSeq,
@@ -495,23 +404,17 @@ func (s *LogSnapshot) Image() LogImage {
 	for pid := range s.perPID {
 		im.PerPID[pid] = append([]Entry(nil), s.perPID[pid]...)
 	}
-	for id := 0; id < ids; id++ {
-		shd, sl := sh.Shard(int32(id)), sh.Slot(int32(id))
-		k := logKey{pid: -1}
-		if shd < len(s.lastKey) && sl < len(s.lastKey[shd]) {
-			k = s.lastKey[shd][sl]
-		}
-		im.LastPID[id] = k.pid
-		im.LastEpoch[id] = k.epoch
+	for id, k := range s.lastKey {
+		im.LastPID[id], im.LastEpoch[id] = k.pid, k.epoch
 	}
 	return im
 }
 
-// FromImage rebuilds the snapshot from its serializable form under the
-// target machine's Sharding, reusing the snapshot's storage where
-// possible. It returns an error when the image is internally
-// inconsistent (parallel arrays of unequal length).
-func (s *LogSnapshot) FromImage(im *LogImage, sh Sharding) error {
+// FromImage rebuilds the snapshot from its serializable form, adopting
+// the image's entry lists and epoch floors. It returns an error when
+// the image is internally inconsistent (parallel arrays of unequal
+// length).
+func (s *LogSnapshot) FromImage(im *LogImage) error {
 	if len(im.LastPID) != len(im.LastEpoch) {
 		return fmt.Errorf("mem: log image lastKey arrays disagree (%d pids, %d epochs)",
 			len(im.LastPID), len(im.LastEpoch))
@@ -520,26 +423,11 @@ func (s *LogSnapshot) FromImage(im *LogImage, sh Sharding) error {
 		return fmt.Errorf("mem: log image perPID/minEpoch arrays disagree (%d lists, %d floors)",
 			len(im.PerPID), len(im.MinEpoch))
 	}
-	if cap(s.perPID) < len(im.PerPID) {
-		s.perPID = make([][]Entry, len(im.PerPID))
-	} else {
-		s.perPID = s.perPID[:len(im.PerPID)]
+	s.perPID, s.minEpoch = im.PerPID, im.MinEpoch
+	s.lastKey = make([]logKey, len(im.LastPID))
+	for id := range s.lastKey {
+		s.lastKey[id] = logKey{pid: im.LastPID[id], epoch: im.LastEpoch[id]}
 	}
-	for pid := range im.PerPID {
-		s.perPID[pid] = append(s.perPID[pid][:0], im.PerPID[pid]...)
-	}
-	s.prepareKeys(sh.N())
-	for i := range s.lastKey {
-		s.lastKey[i] = s.lastKey[i][:0]
-	}
-	for id := range im.LastPID {
-		shd, sl := sh.Shard(int32(id)), sh.Slot(int32(id))
-		for sl >= len(s.lastKey[shd]) {
-			s.lastKey[shd] = append(s.lastKey[shd], logKey{pid: -1})
-		}
-		s.lastKey[shd][sl] = logKey{pid: im.LastPID[id], epoch: im.LastEpoch[id]}
-	}
-	s.minEpoch = append(s.minEpoch[:0], im.MinEpoch...)
 	s.total, s.nextSeq, s.sinceStub = im.Total, im.NextSeq, im.SinceStub
 	s.alwaysLog = im.AlwaysLog
 	return nil

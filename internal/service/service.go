@@ -196,9 +196,10 @@ type RunRequest struct {
 	WSIGBits int    `json:"wsigbits,omitempty"`
 	DepSets  int    `json:"depsets,omitempty"`
 	LogAllWB bool   `json:"logallwb,omitempty"`
-	// Shards selects the machine's state-partition count (power of
-	// two; 0/1 = unsharded). It changes snapshot parallelism, never
-	// results.
+	// Shards sets how many line-ID ranges the machine's snapshot plane
+	// splits its memory and directory copies into (a power of two up
+	// to harness.MaxShards; 0/1 = one range). It changes snapshot
+	// parallelism, never results.
 	Shards int `json:"shards,omitempty"`
 }
 

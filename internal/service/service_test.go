@@ -169,6 +169,7 @@ func TestInvalidSpecIs400(t *testing.T) {
 		RunRequest{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: "galactic"},
 		RunRequest{App: "FFT", Procs: 4, Scheme: "Rebound", DepSets: 1},
 		RunRequest{App: "FFT", Procs: 4, Scheme: "Rebound", WSIGBits: 1 << 30},
+		json.RawMessage(`{"app":"FFT","procs":4,"scheme":"Rebound","shards":3}`),
 		map[string]any{"app": "FFT", "unknown_field": true},
 		"not json at all",
 	}
