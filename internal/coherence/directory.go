@@ -533,11 +533,11 @@ func (d *Directory) LoadRange(s *Snapshot, lo, hi int) {
 func (d *Directory) LoadEnd() { d.dirty.Clear() }
 
 // CheckInvariants validates the directory against the actual cache
-// contents: an owned entry has no sharers, and every processor the
-// directory believes holds a copy either holds it or (owner case) may
-// have silently evicted a clean line. holds reports whether pid's L2
-// currently has a valid copy of line; dirtyAt reports whether it is
-// dirty. Panics on violation; used by tests and debug runs.
+// contents: an owned entry has no sharers, and no sharer holds a dirty
+// copy. holds reports whether pid's L2 currently has a valid copy of
+// line and whether that copy is dirty. The owner's copy is not
+// checked: an owner may have silently evicted a clean line. Panics on
+// violation; used by tests and debug runs.
 func (d *Directory) CheckInvariants(holds func(pid int, line uint64) (present, dirty bool)) {
 	for id, owner := range d.owner {
 		line := d.tab.Addr(int32(id))
@@ -552,13 +552,6 @@ func (d *Directory) CheckInvariants(holds func(pid int, line uint64) (present, d
 				if present, dirty := holds(s, line); present && dirty {
 					panic(fmt.Sprintf("coherence: line %#x dirty at sharer %d", line, s))
 				}
-			}
-		}
-		if owner != noProc {
-			// A silently evicted clean-exclusive line is allowed; a
-			// dirty line must never vanish without a writeback.
-			if present, _ := holds(int(owner), line); !present {
-				continue
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -322,5 +324,27 @@ func TestCheckInvariants(t *testing.T) {
 			return false, false
 		}
 		return true, l.dirty
+	})
+}
+
+// TestCheckInvariantsCatchesDirtySharer: a sharer holding a dirty copy
+// breaks the protocol (only an owner may hold newer data than memory),
+// and CheckInvariants must panic on it.
+func TestCheckInvariantsCatchesDirtySharer(t *testing.T) {
+	d, fakes, _, _ := rig(2)
+	d.Read(0, 300)
+	fakes[0].lines[300] = &fakeLine{}
+	if r := d.Read(1, 300); r.State != cache.Shared {
+		t.Fatalf("second reader got %v, want S", r.State)
+	}
+	fakes[1].lines[300] = &fakeLine{dirty: true}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "dirty at sharer 1") {
+			t.Fatalf("dirty copy at a sharer: CheckInvariants panicked with %v", r)
+		}
+	}()
+	d.CheckInvariants(func(pid int, line uint64) (bool, bool) {
+		l, ok := fakes[pid].lines[line]
+		return ok, ok && l.dirty
 	})
 }

@@ -22,22 +22,26 @@ import (
 // keys are the snapshot's own flat arrays indexed by interned line ID,
 // and Cfg omits Shards. A snapshot therefore encodes to the same bytes
 // at every shard count and decodes into a machine of any shard count.
+// Caches are the exception to writing arrays whole: a cacheImage holds
+// only the occupied ways, since a warm L2 is mostly empty ways, and
+// mem.Word omits its zero fields. Both keep the round trip exact.
 //
 // The codec is deliberately shape-checked rather than trusting: decode
 // refuses a payload whose format version, Config or scheme name does
-// not match the machine it is decoded into, and a payload whose arrays
-// do not fit that machine's geometry (checkShape), so a malformed
-// payload is an error, never a panic in Restore. Stream identity
-// (profile pointer, core number, derived burst constants) is never
-// serialized — workload.StateFromImage re-derives it from the target
-// machine, so a stale profile can not be smuggled in through a stored
-// snapshot.
+// not match the machine it is decoded into, a payload whose arrays or
+// cache images do not fit that machine's geometry, and a pending-event
+// list that is not a valid heap of processor tasks (checkShape), so a
+// malformed payload is an error, never a panic in Restore or events
+// fired out of order. Stream identity (profile pointer, core number,
+// derived burst constants) is never serialized —
+// workload.StateFromImage re-derives it from the target machine, so a
+// stale profile can not be smuggled in through a stored snapshot.
 
 // SnapshotFormat is the persisted-snapshot schema version. Bump it on
 // any change to the image structs below (or to the semantics of the
 // fields they mirror); stored snapshots with another format are
 // ignored, not migrated.
-const SnapshotFormat = 3
+const SnapshotFormat = 4
 
 // microImage mirrors microState.
 type microImage struct {
@@ -74,10 +78,67 @@ type ckptRecImage struct {
 	Lines       uint64    `json:"lines"`
 }
 
+// cacheImage is the persisted form of a cache.Snapshot: the way count,
+// the LRU clock and only the ways whose line is non-zero, as parallel
+// (index, line) arrays in increasing way order. Most ways of a warm L2
+// are empty, and an empty way is the zero Line, so this is exact.
+type cacheImage struct {
+	Ways    int          `json:"ways"` // all ways of all sets: Capacity()
+	LruTick uint64       `json:"lru_tick"`
+	Index   []int        `json:"index"`
+	Lines   []cache.Line `json:"lines"`
+}
+
+func imageOfCache(s *cache.Snapshot) cacheImage {
+	n := 0
+	for i := range s.Lines {
+		if s.Lines[i] != (cache.Line{}) {
+			n++
+		}
+	}
+	ci := cacheImage{Ways: len(s.Lines), LruTick: s.LruTick, Index: make([]int, 0, n), Lines: make([]cache.Line, 0, n)}
+	for i := range s.Lines {
+		if s.Lines[i] != (cache.Line{}) {
+			ci.Index = append(ci.Index, i)
+			ci.Lines = append(ci.Lines, s.Lines[i])
+		}
+	}
+	return ci
+}
+
+// check reports whether ci fits c: the way count is c's capacity, and
+// the indices strictly increase, stay in range and pair one to one
+// with the lines.
+func (ci *cacheImage) check(c *cache.Cache) error {
+	if ci.Ways != c.Capacity() {
+		return fmt.Errorf("cache image holds %d ways, cache has %d", ci.Ways, c.Capacity())
+	}
+	if len(ci.Index) != len(ci.Lines) {
+		return fmt.Errorf("cache image has %d indices for %d lines", len(ci.Index), len(ci.Lines))
+	}
+	prev := -1
+	for _, i := range ci.Index {
+		if i <= prev || i >= ci.Ways {
+			return fmt.Errorf("cache image way index %d after %d, want increasing and below %d", i, prev, ci.Ways)
+		}
+		prev = i
+	}
+	return nil
+}
+
+// snapshot expands a checked image into a full-length cache.Snapshot.
+func (ci *cacheImage) snapshot() cache.Snapshot {
+	s := cache.Snapshot{Lines: make([]cache.Line, ci.Ways), LruTick: ci.LruTick}
+	for j, i := range ci.Index {
+		s.Lines[i] = ci.Lines[j]
+	}
+	return s
+}
+
 // procImage mirrors procSnapshot.
 type procImage struct {
-	L1             cache.Snapshot      `json:"l1"`
-	L2             cache.Snapshot      `json:"l2"`
+	L1             cacheImage          `json:"l1"`
+	L2             cacheImage          `json:"l2"`
 	Deps           dep.Snapshot        `json:"deps"`
 	Stream         workload.StateImage `json:"stream"`
 	RNG            uint64              `json:"rng"`
@@ -131,8 +192,8 @@ func encodeProcs(s *MachineSnapshot) []procImage {
 	for i := range s.procs {
 		p := &s.procs[i]
 		pi := procImage{
-			L1:             p.l1,
-			L2:             p.l2,
+			L1:             imageOfCache(&p.l1),
+			L2:             imageOfCache(&p.l2),
 			Deps:           p.deps,
 			Stream:         p.stream.Image(),
 			RNG:            p.rng,
@@ -222,8 +283,8 @@ func (m *Machine) decodeProcs(images []procImage) []procSnapshot {
 	for i := range images {
 		pi := &images[i]
 		ps := procSnapshot{
-			l1:             pi.L1,
-			l2:             pi.L2,
+			l1:             pi.L1.snapshot(),
+			l2:             pi.L2.snapshot(),
 			deps:           pi.Deps,
 			stream:         workload.StateFromImage(m.prof, i, m.Cfg.NProcs, pi.Stream),
 			rng:            pi.RNG,
@@ -293,10 +354,8 @@ func (m *Machine) checkShape(im *snapshotImage) error {
 	if err := im.St.CheckShape(); err != nil {
 		return err
 	}
-	for _, ev := range im.Events {
-		if (ev.Tag.Kind != tagStep && ev.Tag.Kind != tagDrain) || ev.Tag.ID < 0 || int(ev.Tag.ID) >= n {
-			return fmt.Errorf("machine: snapshot event tag %+v names no processor task", ev.Tag)
-		}
+	if err := checkEvents(im, n); err != nil {
+		return err
 	}
 	ids := len(im.Tab)
 	if len(im.Mem.Words) > ids || len(im.Dir.Owner) > ids || len(im.Log.LastPID) > ids {
@@ -323,14 +382,49 @@ func (m *Machine) checkShape(im *snapshotImage) error {
 	}
 	for i := range im.Procs {
 		pi, p := &im.Procs[i], m.Procs[i]
-		if err := p.l1.CheckSnapshot(&pi.L1); err != nil {
+		if err := pi.L1.check(p.l1); err != nil {
 			return fmt.Errorf("machine: proc %d L1: %w", i, err)
 		}
-		if err := p.l2.CheckSnapshot(&pi.L2); err != nil {
+		if err := pi.L2.check(p.l2); err != nil {
 			return fmt.Errorf("machine: proc %d L2: %w", i, err)
 		}
 		if err := p.deps.CheckSnapshot(&pi.Deps); err != nil {
 			return fmt.Errorf("machine: proc %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// checkEvents validates the pending-event list, which Engine.Load
+// takes as given: each event names a processor task, and a processor
+// has at most one pending step and one pending drain event; no event
+// lies before Now or carries a sequence number above the snapshot's
+// counter or one already used; and the array is a binary min-heap on
+// (at, seq). A list that breaks any of these would decode and then
+// fire events in the wrong order.
+func checkEvents(im *snapshotImage, n int) error {
+	pending := make([]uint8, n) // per processor, a bit per tag kind
+	seqs := make(map[uint64]bool, len(im.Events))
+	for i, ev := range im.Events {
+		if (ev.Tag.Kind != tagStep && ev.Tag.Kind != tagDrain) || ev.Tag.ID < 0 || int(ev.Tag.ID) >= n {
+			return fmt.Errorf("machine: snapshot event tag %+v names no processor task", ev.Tag)
+		}
+		bit := uint8(1) << ev.Tag.Kind
+		if pending[ev.Tag.ID]&bit != 0 {
+			return fmt.Errorf("machine: snapshot has two pending events tagged %+v", ev.Tag)
+		}
+		pending[ev.Tag.ID] |= bit
+		if ev.At < im.Now {
+			return fmt.Errorf("machine: snapshot event at cycle %d is before now (%d)", ev.At, im.Now)
+		}
+		if ev.Seq > im.Seq || seqs[ev.Seq] {
+			return fmt.Errorf("machine: snapshot event sequence %d is above the counter (%d) or repeated", ev.Seq, im.Seq)
+		}
+		seqs[ev.Seq] = true
+		if i > 0 {
+			if p := im.Events[(i-1)/2]; ev.At < p.At || ev.At == p.At && ev.Seq < p.Seq {
+				return fmt.Errorf("machine: snapshot events out of heap order at position %d", i)
+			}
 		}
 	}
 	return nil

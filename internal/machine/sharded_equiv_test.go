@@ -324,8 +324,8 @@ func TestShardsNotPowerOfTwoRuns(t *testing.T) {
 // an intended change to what the machine simulates.
 func TestSnapshotBytesGolden(t *testing.T) {
 	const (
-		wantLen = 2_302_899
-		wantSHA = "8651a690ea9ba2f774dee4ac5f6870019199d3a3919dc3f1b3b18f0aef4b5ba5"
+		wantLen = 556_634
+		wantSHA = "bbd3db97219f63d800c2f877143ab27a0ce7dfbfc63c4718f509447f37d94493"
 	)
 	for _, shards := range []int{0, 1, 2, 4} {
 		spec := harness.Spec{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: harness.Quick, Shards: shards}

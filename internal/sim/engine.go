@@ -26,32 +26,43 @@ type SavedEvent struct {
 	Tag Tag
 }
 
-type event struct {
-	at  Cycle
-	seq uint64
+// key is one heap entry: the event's firing order, (time, insertion
+// order), and the slot holding its tag and closure. It holds no
+// pointer, so a sift moves plain words with no GC write barrier; only
+// push and pop write a closure pointer, once each.
+type key struct {
+	at   Cycle
+	seq  uint64
+	slot int32
+}
+
+// before orders events by (time, insertion order).
+func (k key) before(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+// slot is the payload of one pending event.
+type slot struct {
 	tag Tag
 	fn  func()
 }
 
-// before orders events by (time, insertion order).
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 //
-// The event queue is a hand-rolled binary min-heap rather than
-// container/heap: the interface-based API boxes every event on Push and
-// Pop, which made the scheduler the simulator's largest allocation
-// source (one heap allocation per scheduled op). The typed heap keeps
-// events in a reusable slice and allocates only on queue growth.
+// The event queue is a hand-rolled binary min-heap of pointer-free keys
+// rather than container/heap, whose interface-based API boxes every
+// event. Each key names a slot in a table that holds the event's tag
+// and closure; freed slots are reused, so the queue allocates only
+// when it grows.
 type Engine struct {
 	now     Cycle
 	seq     uint64
-	heap    []event
+	heap    []key
+	slots   []slot
+	free    []int32 // indices of unused slots
 	stopped bool
 	// untagged counts pending events with a zero Tag; a snapshot is only
 	// possible when it is zero (every pending event re-bindable).
@@ -64,51 +75,70 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// push inserts ev, sifting up to restore the heap order.
-func (e *Engine) push(ev event) {
-	h := append(e.heap, ev)
+// push queues fn at cycle at under the current sequence number, moving
+// a hole up from the end of the heap to where the new key belongs.
+func (e *Engine) push(at Cycle, tag Tag, fn func()) {
+	var si int32
+	if n := len(e.free); n > 0 {
+		si = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slots[si] = slot{tag: tag, fn: fn}
+	} else {
+		si = int32(len(e.slots))
+		e.slots = append(e.slots, slot{tag: tag, fn: fn})
+	}
+	k := key{at: at, seq: e.seq, slot: si}
+	h := append(e.heap, key{})
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
+		if !k.before(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
 	e.heap = h
 }
 
-// pop removes and returns the minimum event. The queue must not be
-// empty.
-func (e *Engine) pop() event {
+// pop removes the minimum event and returns its cycle and closure. The
+// queue must not be empty. The root's hole moves down, pulling up the
+// smaller child while it precedes the last key, which then fills it.
+func (e *Engine) pop() (Cycle, func()) {
 	h := e.heap
 	top := h[0]
-	if top.tag == (Tag{}) {
+	sl := &e.slots[top.slot]
+	fn := sl.fn
+	if sl.tag == (Tag{}) {
 		e.untagged--
 	}
+	*sl = slot{} // release the fn reference
+	e.free = append(e.free, top.slot)
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the fn reference
+	last := h[n]
 	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h[l].before(h[least]) {
-			least = l
+	if n > 0 {
+		i := 0
+		for {
+			l, r := 2*i+1, 2*i+2
+			least, lk := i, last
+			if l < n && h[l].before(lk) {
+				least, lk = l, h[l]
+			}
+			if r < n && h[r].before(lk) {
+				least, lk = r, h[r]
+			}
+			if least == i {
+				break
+			}
+			h[i] = lk
+			i = least
 		}
-		if r < n && h[r].before(h[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+		h[i] = last
 	}
 	e.heap = h
-	return top
+	return top.at, fn
 }
 
 // Schedule runs fn after delay cycles. A delay of 0 runs fn after the
@@ -117,7 +147,7 @@ func (e *Engine) pop() event {
 func (e *Engine) Schedule(delay Cycle, fn func()) {
 	e.seq++
 	e.untagged++
-	e.push(event{at: e.now + delay, seq: e.seq, fn: fn})
+	e.push(e.now+delay, Tag{}, fn)
 }
 
 // ScheduleTagged is Schedule for an event whose behaviour is fully
@@ -130,7 +160,7 @@ func (e *Engine) ScheduleTagged(delay Cycle, tag Tag, fn func()) {
 		panic("sim: ScheduleTagged with a zero tag (use Schedule)")
 	}
 	e.seq++
-	e.push(event{at: e.now + delay, seq: e.seq, tag: tag, fn: fn})
+	e.push(e.now+delay, tag, fn)
 }
 
 // AllTagged reports whether every pending event carries a tag, i.e.
@@ -145,14 +175,11 @@ func (e *Engine) Save(buf []SavedEvent) (now Cycle, seq uint64, events []SavedEv
 		return 0, 0, buf[:0], false
 	}
 	buf = buf[:0]
-	for _, ev := range e.heap {
-		buf = append(buf, SavedEvent{At: ev.at, Seq: ev.seq, Tag: ev.Tag()})
+	for _, k := range e.heap {
+		buf = append(buf, SavedEvent{At: k.at, Seq: k.seq, Tag: e.slots[k.slot].tag})
 	}
 	return e.now, e.seq, buf, true
 }
-
-// Tag returns the event's tag (helper for Save).
-func (ev event) Tag() Tag { return ev.tag }
 
 // Load restores scheduler state captured by Save: the clock, the
 // sequence counter and the pending queue, with each event's closure
@@ -160,10 +187,11 @@ func (ev event) Tag() Tag { return ev.tag }
 // produced (any heap-valid order works; Save's order trivially is).
 func (e *Engine) Load(now Cycle, seq uint64, events []SavedEvent, resolve func(Tag) func()) {
 	e.now, e.seq, e.stopped, e.untagged = now, seq, false, 0
-	clear(e.heap) // release stale fn references
-	e.heap = e.heap[:0]
-	for _, sv := range events {
-		e.heap = append(e.heap, event{at: sv.At, seq: sv.Seq, tag: sv.Tag, fn: resolve(sv.Tag)})
+	clear(e.slots) // release stale fn references
+	e.slots, e.free, e.heap = e.slots[:0], e.free[:0], e.heap[:0]
+	for i, sv := range events {
+		e.heap = append(e.heap, key{at: sv.At, seq: sv.Seq, slot: int32(i)})
+		e.slots = append(e.slots, slot{tag: sv.Tag, fn: resolve(sv.Tag)})
 	}
 }
 
@@ -191,9 +219,9 @@ func (e *Engine) Run(limit Cycle) Cycle {
 			e.now = limit
 			return e.now
 		}
-		ev := e.pop()
-		e.now = ev.at
-		ev.fn()
+		at, fn := e.pop()
+		e.now = at
+		fn()
 	}
 	return e.now
 }
@@ -204,8 +232,8 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	ev.fn()
+	at, fn := e.pop()
+	e.now = at
+	fn()
 	return true
 }

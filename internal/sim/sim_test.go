@@ -246,3 +246,21 @@ func mustPanic(t *testing.T, fn func()) {
 	}()
 	fn()
 }
+
+// BenchmarkEngine measures one pop plus one schedule with 16 pending
+// step-like events: tagged, pre-bound closures that each reschedule
+// themselves, as a processor's step does.
+func BenchmarkEngine(b *testing.B) {
+	e := NewEngine()
+	fns := make([]func(), 16)
+	for i := range fns {
+		tag, delay := Tag{Kind: 1, ID: int32(i)}, Cycle(1+i*7%13)
+		fns[i] = func() { e.ScheduleTagged(delay, tag, fns[i]) }
+		e.ScheduleTagged(Cycle(i), tag, fns[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
