@@ -4,7 +4,6 @@
 package bitset
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -179,23 +178,14 @@ func (b *Bitset) Intersects(o *Bitset) bool {
 	return false
 }
 
-// MarshalJSON encodes the set as its word array, so bitsets embedded in
-// snapshot images (dep register sets) survive the persistent-snapshot
-// round trip with their exact storage length — Equal treats missing
-// high words as zero, but a byte-identical re-capture needs the length
-// too.
-func (b *Bitset) MarshalJSON() ([]byte, error) {
-	if b.words == nil {
-		return []byte("[]"), nil
-	}
-	return json.Marshal(b.words)
-}
+// Words returns the set's word array, shared with the set, at its exact
+// storage length: the persistent-snapshot codec writes it so a
+// re-captured snapshot is byte-identical (Equal treats missing high
+// words as zero, but the bytes need the length too).
+func (b *Bitset) Words() []uint64 { return b.words }
 
-// UnmarshalJSON decodes a word array written by MarshalJSON.
-func (b *Bitset) UnmarshalJSON(data []byte) error {
-	b.words = b.words[:0]
-	return json.Unmarshal(data, &b.words)
-}
+// FromWords returns the set whose word array is w, adopting w.
+func FromWords(w []uint64) *Bitset { return &Bitset{words: w} }
 
 // String renders the set as {1, 5, 9}.
 func (b *Bitset) String() string {

@@ -40,23 +40,22 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Line is one cache line. The JSON keys are the persistent-snapshot
-// schema (machine.SnapshotFormat).
+// Line is one cache line.
 type Line struct {
-	Addr  uint64 `json:"addr"`
-	State State  `json:"state"`
+	Addr  uint64
+	State State
 	// Dirty marks data newer than memory (only meaningful in the L2;
 	// the L1 is write-through and never dirty).
-	Dirty bool `json:"dirty,omitempty"`
+	Dirty bool
 	// Delayed marks a dirty line whose checkpoint writeback is pending
 	// in the background (§4.1).
-	Delayed bool `json:"delayed,omitempty"`
+	Delayed bool
 	// Epoch is the checkpoint interval in which the line was dirtied.
-	Epoch uint64   `json:"epoch,omitempty"`
-	Data  mem.Word `json:"data"`
+	Epoch uint64
+	Data  mem.Word
 	// LRU is the cache's clock at the line's last touch. It drives
 	// eviction order, so a snapshot must carry it.
-	LRU uint64 `json:"lru,omitempty"`
+	LRU uint64
 }
 
 // Valid reports whether the line holds data.
@@ -171,19 +170,11 @@ func (c *Cache) Invalidate(addr uint64) (Line, bool) {
 	return Line{}, false
 }
 
-// InvalidateAll wipes the cache, calling fn (if non-nil) for each valid
-// line first. Used on rollback (§3.3.5: rolled-back caches are
-// invalidated; their dirty data is abandoned, the log restores memory).
-func (c *Cache) InvalidateAll(fn func(Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			if fn != nil {
-				fn(c.lines[i])
-			}
-			c.lines[i] = Line{}
-		}
-	}
-}
+// InvalidateAll wipes the cache. An invalid line is always the zero
+// Line, so this clears every line. Used on rollback (§3.3.5:
+// rolled-back caches are invalidated; their dirty data is abandoned,
+// the log restores memory).
+func (c *Cache) InvalidateAll() { clear(c.lines) }
 
 // ForEach visits every valid line. The *Line may be mutated.
 func (c *Cache) ForEach(fn func(*Line)) {

@@ -132,7 +132,8 @@ func TestInvalidateAllAndCounts(t *testing.T) {
 		t.Fatalf("delayed = %d, want 4", c.CountDelayed())
 	}
 	seen := 0
-	c.InvalidateAll(func(Line) { seen++ })
+	c.ForEach(func(*Line) { seen++ })
+	c.InvalidateAll()
 	if seen != 10 || c.CountValid() != 0 {
 		t.Fatal("InvalidateAll incomplete")
 	}

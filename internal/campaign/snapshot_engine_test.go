@@ -131,7 +131,7 @@ func TestStoredSnapshotColdStart(t *testing.T) {
 
 	// Corrupt the stored snapshot record in place; the next runner must
 	// refuse it, re-warm, and overwrite it with a good one.
-	recPath := filepath.Join(st.Dir(), "snapshots", store.SnapshotKeyOf(warmKey(spec))+".json")
+	recPath := filepath.Join(st.Dir(), "snapshots", store.SnapshotKeyOf(warmKey(spec))+".snap")
 	data, err := os.ReadFile(recPath)
 	if err != nil {
 		t.Fatal(err)

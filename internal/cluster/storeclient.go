@@ -82,8 +82,9 @@ func (t *LocalTier) SnapshotReads() uint64 { return t.snapReads.Load() }
 //
 // — with retry.Policy backoff on transport failures. Reads verify
 // what they fetched (a snapshot record must reproduce its own payload
-// hash) and writes ship json.Marshal bytes, so the coordinator-side
-// PutRaw lands byte-identically to a local PutJSON of the same value.
+// hash) and writes ship the record bytes a local write stores (JSON,
+// or a binary snapshot record), so the coordinator-side PutRaw lands
+// byte-identically to a local write of the same value.
 type RemoteStore struct {
 	base   string
 	client *http.Client
@@ -126,28 +127,17 @@ func (r *RemoteStore) GetSnapshot(snapKey string) (payload []byte, ok bool, err 
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	var rec store.SnapshotRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	if payload, err = store.SnapshotPayload(data, snapKey); err != nil {
 		return nil, false, fmt.Errorf("cluster: snapshot %s: %w", snapKey, err)
 	}
-	if rec.SnapKey != snapKey {
-		return nil, false, fmt.Errorf("cluster: snapshot record does not match key %q", snapKey)
-	}
-	if err := rec.Verify(); err != nil {
-		return nil, false, err
-	}
-	return rec.Machine, true, nil
+	return payload, true, nil
 }
 
 // PutSnapshot ships a serialized machine snapshot to the coordinator
 // in exactly the record form store.PutSnapshot writes locally.
 func (r *RemoteStore) PutSnapshot(snapKey string, payload []byte) error {
 	rec := store.NewSnapshotRecord(snapKey, payload)
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	return r.putRaw(nsPath(store.SnapshotsNamespace, rec.Key), data)
+	return r.putRaw(nsPath(store.SnapshotsNamespace, rec.Key()), "application/octet-stream", rec.Marshal())
 }
 
 // PutTrial ships one finished trial record. The bytes are the
@@ -160,7 +150,7 @@ func (r *RemoteStore) PutTrial(campaignKey string, index int, tr *campaign.Trial
 		return fmt.Errorf("cluster: %w", err)
 	}
 	parts := append(campaign.NamespacePath(campaignKey), campaign.TrialRecordName(index))
-	return r.putRaw(nsPath(parts...), data)
+	return r.putRaw(nsPath(parts...), "application/json", data)
 }
 
 // PutRecord ships one finished sweep-cell record; the coordinator
@@ -170,7 +160,7 @@ func (r *RemoteStore) PutRecord(rec *store.Record) error {
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	return r.putRaw("/v1/store/runs/"+url.PathEscape(rec.Key), data)
+	return r.putRaw("/v1/store/runs/"+url.PathEscape(rec.Key), "application/json", data)
 }
 
 // getRaw GETs a proxy path with retries. 404 is a miss; any other
@@ -203,17 +193,17 @@ func (r *RemoteStore) getRaw(path string) (data []byte, ok bool, err error) {
 	return data, ok, nil
 }
 
-// putRaw PUTs record bytes to a proxy path with retries. Re-PUTting
-// the same record is safe by design: records are content-addressed and
-// byte-identical across re-runs, so the coordinator-side overwrite is
-// a no-op rename.
-func (r *RemoteStore) putRaw(path string, data []byte) error {
+// putRaw PUTs record bytes of the given media type to a proxy path
+// with retries. Re-PUTting the same record is safe by design: records
+// are content-addressed and byte-identical across re-runs, so the
+// coordinator-side overwrite is a no-op rename.
+func (r *RemoteStore) putRaw(path, contentType string, data []byte) error {
 	err := r.policy.Do(context.Background(), func() error {
 		req, err := http.NewRequest(http.MethodPut, r.base+path, bytes.NewReader(data))
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 		resp, err := r.client.Do(req)
 		if err != nil {
 			return err

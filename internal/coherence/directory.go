@@ -416,22 +416,36 @@ func (d *Directory) DropShared(pid int, line uint64) {
 	}
 }
 
-// DetachProc removes pid from every directory entry: ownership and
-// sharer bits are dropped and LW-IDs pointing at pid are cleared. Used
-// on rollback, after pid's caches are invalidated (§3.3.5).
-func (d *Directory) DetachProc(pid int) {
-	w, bit := pid>>6, uint64(1)<<uint(pid&63)
-	d.dirty.MarkAll()
-	for id := range d.owner {
-		if d.owner[id] == int32(pid) {
-			d.owner[id] = noProc
-		}
-		if d.lwid[id] == int32(pid) {
-			d.lwid[id] = noProc
-		}
+// DetachProcs removes every processor in pids from every directory
+// entry in one pass: ownership and sharer bits are dropped and LW-IDs
+// pointing at them are cleared. Used on rollback, after the
+// processors' caches are invalidated (§3.3.5). Only the entries it
+// changes are marked dirty, so the next delta restore copies only
+// their pages.
+func (d *Directory) DetachProcs(pids []int) {
+	mask := make([]uint64, d.wpp)
+	for _, pid := range pids {
+		setBit(mask, pid)
 	}
-	for off := w; off < len(d.sharers); off += d.wpp {
-		d.sharers[off] &^= bit
+	member := func(p int32) bool { return p != noProc && mask[p>>6]&(1<<uint(p&63)) != 0 }
+	for id := range d.owner {
+		changed := false
+		if member(d.owner[id]) {
+			d.owner[id], changed = noProc, true
+		}
+		if member(d.lwid[id]) {
+			d.lwid[id], changed = noProc, true
+		}
+		sh := d.sharerWords(int32(id))
+		for w, m := range mask {
+			if sh[w]&m != 0 {
+				sh[w] &^= m
+				changed = true
+			}
+		}
+		if changed {
+			d.mark(int32(id))
+		}
 	}
 }
 

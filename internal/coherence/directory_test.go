@@ -2,6 +2,8 @@ package coherence
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -288,9 +290,9 @@ func TestDetachProc(t *testing.T) {
 	d.Write(0, 100)
 	d.Read(1, 101)
 	fakes[1].lines[101] = &fakeLine{data: mem.Word{Val: 0}}
-	d.DetachProc(0)
+	d.DetachProcs([]int{0})
 	if d.LWID(100) != noProc {
-		t.Fatal("DetachProc must clear LW-IDs pointing at the proc")
+		t.Fatal("DetachProcs must clear LW-IDs pointing at the proc")
 	}
 	// Line 100 now uncached: a fresh read gets it from memory.
 	r := d.Read(2, 100)
@@ -299,7 +301,83 @@ func TestDetachProc(t *testing.T) {
 	}
 	// Proc 1's entries untouched.
 	if d.LWID(101) != 1 {
-		t.Fatal("DetachProc touched other procs' LW-IDs")
+		t.Fatal("DetachProcs touched other procs' LW-IDs")
+	}
+}
+
+// randomDirectory returns a directory of 70 processors (two sharer
+// words per line) holding n lines of random owner, LW-ID and sharer
+// state.
+func randomDirectory(rng *rand.Rand, n int) *Directory {
+	d, _, _, _ := rig(70)
+	d.grow(n)
+	pid := func() int32 { return int32(rng.Intn(71)) - 1 } // noProc included
+	for id := 0; id < n; id++ {
+		d.owner[id], d.lwid[id] = pid(), pid()
+	}
+	for i := range d.sharers {
+		d.sharers[i] = rng.Uint64() & rng.Uint64()
+	}
+	return d
+}
+
+// detachNaive is the reference: each processor of pids detached from
+// every entry in its own pass.
+func detachNaive(d *Directory, pids []int) {
+	for _, pid := range pids {
+		for id := range d.owner {
+			if d.owner[id] == int32(pid) {
+				d.owner[id] = noProc
+			}
+			if d.lwid[id] == int32(pid) {
+				d.lwid[id] = noProc
+			}
+		}
+		for off := pid >> 6; off < len(d.sharers); off += d.wpp {
+			d.sharers[off] &^= 1 << uint(pid&63)
+		}
+	}
+}
+
+// TestDetachProcsMatchesNaive: the one-pass detach of a rollback set
+// leaves every column as detaching each member in turn does, on random
+// directories and sets that span both sharer words.
+func TestDetachProcsMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		seed := rng.Int63()
+		a := randomDirectory(rand.New(rand.NewSource(seed)), 1000)
+		b := randomDirectory(rand.New(rand.NewSource(seed)), 1000)
+		pids := rng.Perm(70)[:1+rng.Intn(20)]
+		a.DetachProcs(pids)
+		detachNaive(b, pids)
+		if !slices.Equal(a.owner, b.owner) || !slices.Equal(a.lwid, b.lwid) || !slices.Equal(a.sharers, b.sharers) {
+			t.Fatalf("trial %d: DetachProcs(%v) differs from detaching each pid", trial, pids)
+		}
+	}
+}
+
+// TestDetachProcsThenDeltaLoad: DetachProcs marks every entry it
+// changes, so a delta load after it restores exactly what a full load
+// restores.
+func TestDetachProcsThenDeltaLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 20; trial++ {
+		d := randomDirectory(rng, 3000)
+		var s Snapshot
+		n := d.SaveBegin(&s)
+		d.SaveRange(&s, 0, n)
+		load := func(delta bool) {
+			n := d.LoadBegin(&s, delta)
+			d.LoadRange(&s, 0, n)
+			d.LoadEnd()
+		}
+		load(false)
+		d.DetachProcs(rng.Perm(70)[:1+rng.Intn(20)])
+		load(true)
+		if !slices.Equal(d.owner, s.Owner) || !slices.Equal(d.lwid, s.LWID) || !slices.Equal(d.sharers, s.Sharers) {
+			t.Fatalf("trial %d: delta load after DetachProcs differs from a full load", trial)
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func (op *barrierOp) notify() {
 }
 
 // detachFromBarCk removes a processor that is being rolled back from an
-// in-flight barrier checkpoint: its drain was aborted by RestoreTo, so
+// in-flight barrier checkpoint: its drain was aborted by the rollback, so
 // it is counted out to let the operation (and the held flag) complete.
 func (r *Rebound) detachFromBarCk(ps *pstate) {
 	if !ps.inBarCk {

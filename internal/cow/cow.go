@@ -62,7 +62,7 @@ func (d *Dirty) MarkRange(lo, hi int) {
 }
 
 // MarkAll records that the entire array may have changed (wholesale
-// operations: DetachProc, a full load).
+// operations such as a full load).
 func (d *Dirty) MarkAll() { d.all = true }
 
 // All reports whether the whole array is considered dirty.

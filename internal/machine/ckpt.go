@@ -15,6 +15,14 @@ func (p *Proc) takeSnapshot() Snapshot {
 	}
 }
 
+// restoreRegs rewinds the processor's register state to r.
+func (p *Proc) restoreRegs(r *Snapshot) {
+	p.stream.Restore(r.stream)
+	p.micro = r.micro
+	p.rng.Restore(r.rng)
+	p.tick = r.tick
+}
+
 // newRec takes a checkpoint record from the processor's pool (or the
 // heap). Pooling matters once machines are recycled across campaign
 // trials: every trial re-creates its checkpoint history, and the per-
@@ -160,30 +168,26 @@ func (p *Proc) LatestSafeCkpt() *CkptRec {
 // History exposes the checkpoint records (tests, debugging).
 func (p *Proc) History() []*CkptRec { return p.history }
 
-// RestoreTo rolls the processor's core-local state back to rec: caches
-// invalidated, directory detached, Dep registers reset, register state
-// (stream, micro-sequence, RNG) restored, fault state cleared. Memory
-// restoration from the log is done once per rollback set by the scheme
-// through Machine.RollbackProcs.
-func (p *Proc) RestoreTo(rec *CkptRec) {
+// restoreTo rolls the processor's core-local state back to rec: caches
+// invalidated, Dep registers reset, register state (stream,
+// micro-sequence, RNG) restored, fault state cleared. Memory
+// restoration from the log and the directory detach are done once per
+// rollback set, by Machine.RollbackProcs.
+func (p *Proc) restoreTo(rec *CkptRec) {
 	// Abort any in-flight drain; the Delayed lines are being discarded.
 	p.draining = false
 	p.drainDone = nil
 	p.drainRush = false
 	p.delayedQueue = p.delayedQueue[:0]
 
-	p.l1.InvalidateAll(nil)
-	p.l2.InvalidateAll(nil)
-	p.m.Dir.DetachProc(p.id)
+	p.l1.InvalidateAll()
+	p.l2.InvalidateAll()
 
 	p.deps.ReleaseAllButCurrent()
 	p.deps.ResetCurrent(rec.OpenedEpoch)
 	p.curEpoch = rec.OpenedEpoch
 
-	p.stream.Restore(rec.Snap.stream)
-	p.micro = rec.Snap.micro
-	p.rng.Restore(rec.Snap.rng)
-	p.tick = rec.Snap.tick
+	p.restoreRegs(&rec.Snap)
 	p.instrSinceCkpt = 0
 
 	p.faulty = false
@@ -215,21 +219,24 @@ func (p *Proc) RestoreTo(rec *CkptRec) {
 
 // RollbackProcs rolls a closed set of processors back to their latest
 // safe checkpoints: one pass over the log restores memory (reverse
-// order, per-processor target epochs), then each processor's local
-// state is restored. It returns the per-processor target epochs, the
-// number of log entries restored and the cycle at which the memory
-// restoration completes.
+// order, per-processor target epochs), each processor's local state is
+// restored, and one directory pass detaches the whole set. It returns
+// the per-processor target epochs, the number of log entries restored
+// and the cycle at which the memory restoration completes.
 func (m *Machine) RollbackProcs(set []*Proc) (map[int]uint64, uint64, sim.Cycle) {
 	targets := make(map[int]uint64, len(set))
 	recs := make(map[int]*CkptRec, len(set))
-	for _, p := range set {
+	pids := make([]int, len(set))
+	for i, p := range set {
 		rec := p.LatestSafeCkpt()
 		targets[p.id] = rec.OpenedEpoch
 		recs[p.id] = rec
+		pids[i] = p.id
 	}
 	restored, done := m.Ctrl.Restore(targets)
 	for _, p := range set {
-		p.RestoreTo(recs[p.id])
+		p.restoreTo(recs[p.id])
 	}
+	m.Dir.DetachProcs(pids)
 	return targets, restored, done
 }

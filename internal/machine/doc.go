@@ -30,17 +30,20 @@
 //
 // # Snapshot format and compatibility
 //
-// The persistent codec (persist.go) writes one format. The snapshot's
-// flat arrays are the persisted arrays, except that each cache persists
-// as its way count, its LRU clock and only its non-zero ways as (index,
+// The persistent codec (persist.go) writes one format, format 5: a
+// binary payload of a magic, the format number and length-prefixed
+// sections of varints, built on internal/wire. The snapshot's flat
+// arrays are the persisted arrays, except that each cache persists as
+// its way count, its LRU clock and only its non-zero ways as (index,
 // line) pairs: most ways of a warm L2 are empty, and an empty way is
 // the zero line. The encoded Config omits Shards, so a snapshot
 // persists to the same bytes at any shard count and decodes into a
-// machine of any shard count. Decode checks every array, cache image
-// and the pending-event heap against the target machine and returns an
-// error on a mismatch, so a malformed stored payload cannot panic
-// Restore or fire events out of order. Decode expands each cache image
-// to a full-length cache.Snapshot, so Restore, Fork and the in-memory
+// machine of any shard count. Decode checks every length against the
+// target machine and the bytes left before it allocates, and checks
+// the cache images, the processor IDs and the pending-event heap, so a
+// malformed stored payload is an error: it cannot panic Restore or
+// fire events out of order. Decode expands each cache image to a
+// full-length cache.Snapshot, so Restore, Fork and the in-memory
 // snapshot never see the sparse form.
 // SnapshotFormat is the format number and is part of every persistent
 // snapshot key (see campaign.warmKey): bump it whenever the encoding

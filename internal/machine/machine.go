@@ -12,7 +12,7 @@ import (
 )
 
 // Config carries the architectural and checkpointing parameters
-// (Fig 4.3a), scaled for simulation as described in DESIGN.md.
+// (Fig 4.3a), scaled down for simulation (DefaultConfig).
 type Config struct {
 	NProcs int
 

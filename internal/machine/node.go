@@ -24,7 +24,7 @@ func (n *procNode) Recall(line uint64, invalidate bool) (mem.Word, bool, uint64,
 		if l2.Delayed {
 			// A Delayed line owes its data to the previous checkpoint's
 			// memory image; complete that writeback before the line
-			// migrates to the new owner (see DESIGN.md).
+			// migrates to the new owner (§4.1).
 			p.m.St.L2WritebacksCkpt++
 			p.m.St.L2WritebacksBg++
 			p.m.Ctrl.Writeback(p.id, l2.Epoch, line, l2.Data)

@@ -1,243 +1,302 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 
+	"repro/internal/bitset"
 	"repro/internal/cache"
-	"repro/internal/coherence"
 	"repro/internal/dep"
 	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// Persistent-snapshot codec: a MachineSnapshot serialized to JSON so a
+// Persistent-snapshot codec: a MachineSnapshot serialized to bytes so a
 // warmed machine image can outlive the process (internal/store keeps it
 // content-addressed and self-verifying; campaign.TrialRunner loads it
 // instead of re-running the warmup on cold start).
 //
-// There is one wire layout: memory words, directory columns and log
-// keys are the snapshot's own flat arrays indexed by interned line ID,
-// and Cfg omits Shards. A snapshot therefore encodes to the same bytes
-// at every shard count and decodes into a machine of any shard count.
-// Caches are the exception to writing arrays whole: a cacheImage holds
-// only the occupied ways, since a warm L2 is mostly empty ways, and
-// mem.Word omits its zero fields. Both keep the round trip exact.
+// Format 5 is binary: an 8-byte magic, the format as a little-endian
+// uint32, then sections in layout's order, each a little-endian uint32
+// byte length and a body (internal/wire). In a body every number and
+// flag is a varint (zig-zag if signed) and an array is its length and
+// then its elements; only stats and the scheme state are JSON. The per-line arrays are indexed
+// by interned line ID and the config omits Shards, so a snapshot has
+// the same bytes at every shard count. A cache persists as its way
+// count, LRU clock and non-zero ways as (index, line) pairs, and a log
+// entry omits its PID, the index of its list; both are exact.
 //
-// The codec is deliberately shape-checked rather than trusting: decode
-// refuses a payload whose format version, Config or scheme name does
-// not match the machine it is decoded into, a payload whose arrays or
-// cache images do not fit that machine's geometry, and a pending-event
-// list that is not a valid heap of processor tasks (checkShape), so a
-// malformed payload is an error, never a panic in Restore or events
-// fired out of order. Stream identity (profile pointer, core number,
-// derived burst constants) is never serialized —
-// workload.StateFromImage re-derives it from the target machine, so a
-// stale profile can not be smuggled in through a stored snapshot.
+// Decoding trusts nothing. Every length is checked against the target
+// machine's shape where it has one, and against the bytes left, before
+// anything is allocated for it; every section must be read exactly,
+// and the payload to its end. The magic, format, Config and scheme name
+// must match the target; processor IDs must name its processors; and
+// checkShape checks what needs the whole snapshot, such as the
+// pending-event heap. A malformed payload is an error, never a panic in
+// Restore or events fired out of order. Stream identity (profile
+// pointer, core number, derived burst constants) is never serialized:
+// workload.StateFromImage re-derives it from the target machine.
 
 // SnapshotFormat is the persisted-snapshot schema version. Bump it on
-// any change to the image structs below (or to the semantics of the
-// fields they mirror); stored snapshots with another format are
-// ignored, not migrated.
-const SnapshotFormat = 4
+// any change to the layout (or to the semantics of the fields it
+// carries); stored snapshots with another format are ignored, not
+// migrated.
+const SnapshotFormat = 5
 
-// microImage mirrors microState.
-type microImage struct {
-	Stage uint8       `json:"stage"`
-	Op    workload.Op `json:"op"`
-	Acc   sim.Cycle   `json:"acc"`
-	Gen   uint64      `json:"gen"`
-	Count uint64      `json:"count"`
-	Last  bool        `json:"last"`
+// snapshotMagic opens every payload; a JSON payload of an earlier
+// format fails on it.
+const snapshotMagic = "RBSNAPSH"
+
+// pids codes processor IDs, each in [-1, nprocs): -1 is "no
+// processor".
+func pids(c *wire.Codec, what string, nprocs int, ps ...*int32) {
+	for _, p := range ps {
+		v := int(*p)
+		if c.Int(&v); v < -1 || v >= nprocs {
+			c.Fail("%s: no processor %d in a %d-processor machine", what, v, nprocs)
+		} else if c.Dec {
+			*p = int32(v)
+		}
+	}
 }
 
-func (mi microImage) state() microState {
-	return microState{stage: microStage(mi.Stage), op: mi.Op, acc: mi.Acc, gen: mi.Gen, count: mi.Count, last: mi.Last}
+func word(c *wire.Codec, w *mem.Word) { c.U(&w.Val); c.Flag(&w.Poison) }
+
+// appendConfig writes every Config field but Shards as an 8-byte word,
+// in declaration order. Decode compares these bytes with the target's
+// own, so the check covers every field.
+func appendConfig(b []byte, cfg Config) []byte {
+	v := reflect.ValueOf(cfg)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); v.Type().Field(i).Name != "Shards" {
+			x := uint64(0)
+			if f.CanInt() {
+				x = uint64(f.Int())
+			} else {
+				x = f.Uint()
+			}
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+	}
+	return b
 }
 
-func imageOfMicro(ms microState) microImage {
-	return microImage{Stage: uint8(ms.stage), Op: ms.op, Acc: ms.acc, Gen: ms.gen, Count: ms.count, Last: ms.last}
+// regs codes register state: stream image, micro-sequence, RNG, tick.
+// Read, the stream's identity is re-derived from m for processor core.
+func (m *Machine) regs(c *wire.Codec, r *Snapshot, core int) {
+	var im workload.StateImage
+	if !c.Dec {
+		im = r.stream.Image()
+	}
+	stage, kind := byte(r.micro.stage), byte(r.micro.op.Kind)
+	c.U(&im.RNG, &im.Instrs, &im.SinceBarrier, &im.SinceIO, &im.BarrierID, &im.CSLock, &im.ColdCursor)
+	c.Int(&im.CSRemaining)
+	c.Flag(&im.PendingMem, &r.micro.last)
+	c.Byte(&stage, &kind)
+	c.U(&r.micro.op.Arg, &r.micro.acc, &r.micro.gen, &r.micro.count, &r.rng, &r.tick)
+	if c.Dec {
+		r.micro.stage, r.micro.op.Kind = microStage(stage), workload.Kind(kind)
+		r.stream = workload.StateFromImage(m.prof, core, m.Cfg.NProcs, im)
+	}
 }
 
-// regImage mirrors Snapshot (a processor's register state at a
-// checkpoint).
-type regImage struct {
-	Stream workload.StateImage `json:"stream"`
-	Micro  microImage          `json:"micro"`
-	RNG    uint64              `json:"rng"`
-	Tick   uint64              `json:"tick"`
+// regsBytes is the least size of regs' output.
+const regsBytes = 18
+
+// zeroLine reports whether l is the zero Line, field by field: the
+// struct comparison is an out-of-line call, and a warm L2 is mostly
+// empty ways.
+func zeroLine(l *cache.Line) bool {
+	return l.Addr|l.Epoch|l.Data.Val|l.LRU == 0 && l.State == 0 && !l.Dirty && !l.Delayed && !l.Data.Poison
 }
 
-// ckptRecImage mirrors CkptRec.
-type ckptRecImage struct {
-	OpenedEpoch uint64    `json:"opened_epoch"`
-	Snap        regImage  `json:"snap"`
-	CompletedAt sim.Cycle `json:"completed_at"`
-	Lines       uint64    `json:"lines"`
-}
-
-// cacheImage is the persisted form of a cache.Snapshot: the way count,
-// the LRU clock and only the ways whose line is non-zero, as parallel
-// (index, line) arrays in increasing way order. Most ways of a warm L2
-// are empty, and an empty way is the zero Line, so this is exact.
-type cacheImage struct {
-	Ways    int          `json:"ways"` // all ways of all sets: Capacity()
-	LruTick uint64       `json:"lru_tick"`
-	Index   []int        `json:"index"`
-	Lines   []cache.Line `json:"lines"`
-}
-
-func imageOfCache(s *cache.Snapshot) cacheImage {
-	n := 0
+// codeCache codes the image of a cache of ways ways: the way count, the LRU
+// clock and the non-zero ways as (index, line) pairs in increasing way
+// order. Read, the indices must increase and stay below ways, and the
+// image expands to a full-length cache.Snapshot.
+func codeCache(c *wire.Codec, s *cache.Snapshot, ways int) {
+	w, n := uint64(len(s.Lines)), 0
+	if c.U(&w); w != uint64(ways) {
+		c.Fail("cache image holds %d ways, cache has %d", w, ways)
+	}
+	c.U(&s.LruTick)
 	for i := range s.Lines {
-		if s.Lines[i] != (cache.Line{}) {
+		if !zeroLine(&s.Lines[i]) {
 			n++
 		}
 	}
-	ci := cacheImage{Ways: len(s.Lines), LruTick: s.LruTick, Index: make([]int, 0, n), Lines: make([]cache.Line, 0, n)}
-	for i := range s.Lines {
-		if s.Lines[i] != (cache.Line{}) {
-			ci.Index = append(ci.Index, i)
-			ci.Lines = append(ci.Lines, s.Lines[i])
+	if n = c.Count("cache ways", n, ways, 9); c.Dec && c.Err == nil {
+		s.Lines = make([]cache.Line, ways)
+	}
+	for prev := -1; n > 0 && c.Err == nil; n-- {
+		i := uint64(prev + 1)
+		for !c.Dec && zeroLine(&s.Lines[i]) {
+			i++
 		}
-	}
-	return ci
-}
-
-// check reports whether ci fits c: the way count is c's capacity, and
-// the indices strictly increase, stay in range and pair one to one
-// with the lines.
-func (ci *cacheImage) check(c *cache.Cache) error {
-	if ci.Ways != c.Capacity() {
-		return fmt.Errorf("cache image holds %d ways, cache has %d", ci.Ways, c.Capacity())
-	}
-	if len(ci.Index) != len(ci.Lines) {
-		return fmt.Errorf("cache image has %d indices for %d lines", len(ci.Index), len(ci.Lines))
-	}
-	prev := -1
-	for _, i := range ci.Index {
-		if i <= prev || i >= ci.Ways {
-			return fmt.Errorf("cache image way index %d after %d, want increasing and below %d", i, prev, ci.Ways)
+		if c.U(&i); i >= uint64(ways) || int(i) <= prev {
+			c.Fail("cache way index %d after %d, want increasing and below %d", i, prev, ways)
+			break
 		}
-		prev = i
+		prev = int(i)
+		l := &s.Lines[i]
+		c.U(&l.Addr)
+		c.Byte((*byte)(&l.State))
+		c.Flag(&l.Dirty, &l.Delayed, &l.Data.Poison)
+		c.U(&l.Epoch, &l.Data.Val, &l.LRU)
 	}
-	return nil
 }
 
-// snapshot expands a checked image into a full-length cache.Snapshot.
-func (ci *cacheImage) snapshot() cache.Snapshot {
-	s := cache.Snapshot{Lines: make([]cache.Line, ci.Ways), LruTick: ci.LruTick}
-	for j, i := range ci.Index {
-		s.Lines[i] = ci.Lines[j]
-	}
-	return s
-}
-
-// procImage mirrors procSnapshot.
-type procImage struct {
-	L1             cacheImage          `json:"l1"`
-	L2             cacheImage          `json:"l2"`
-	Deps           dep.Snapshot        `json:"deps"`
-	Stream         workload.StateImage `json:"stream"`
-	RNG            uint64              `json:"rng"`
-	Micro          microImage          `json:"micro"`
-	Tick           uint64              `json:"tick"`
-	StepScheduled  bool                `json:"step_scheduled"`
-	CurEpoch       uint64              `json:"cur_epoch"`
-	InstrSinceCkpt uint64              `json:"instr_since_ckpt"`
-	History        []ckptRecImage      `json:"history"`
-	DelayedQueue   []uint64            `json:"delayed_queue"`
-	DrainRush      bool                `json:"drain_rush"`
-	Faulty         bool                `json:"faulty"`
-	Tainted        bool                `json:"tainted"`
-	DepStallSince  sim.Cycle           `json:"dep_stall_since"`
-	RestoreGen     uint64              `json:"restore_gen"`
-}
-
-// snapshotImage is the on-disk form of a MachineSnapshot.
-type snapshotImage struct {
-	Format int    `json:"format"`
-	Cfg    Config `json:"cfg"`
-
-	Now    sim.Cycle        `json:"now"`
-	Seq    uint64           `json:"seq"`
-	Events []sim.SavedEvent `json:"events"`
-
-	TotalInstr  uint64 `json:"total_instr"`
-	TargetInstr uint64 `json:"target_instr"`
-
-	Tab  []uint64           `json:"tab"`
-	St   *stats.Stats       `json:"st"`
-	Mem  mem.MemorySnapshot `json:"mem"`
-	Log  mem.LogImage       `json:"log"`
-	DRAM mem.DRAMSnapshot   `json:"dram"`
-	Dir  coherence.Snapshot `json:"dir"`
-
-	Procs []procImage `json:"procs"`
-
-	// SchemeName is the scheme the snapshot was captured under; decode
-	// refuses a machine running a different one (warm state depends on
-	// the scheme's behaviour during the warmup).
-	SchemeName string `json:"scheme_name"`
-	// Scheme is the SchemePersister-encoded scheme state; nil for a
-	// stateless scheme.
-	Scheme json.RawMessage `json:"scheme,omitempty"`
-}
-
-// encodeProcs builds the per-processor images of s.
-func encodeProcs(s *MachineSnapshot) []procImage {
-	procs := make([]procImage, len(s.procs))
-	for i := range s.procs {
-		p := &s.procs[i]
-		pi := procImage{
-			L1:             imageOfCache(&p.l1),
-			L2:             imageOfCache(&p.l2),
-			Deps:           p.deps,
-			Stream:         p.stream.Image(),
-			RNG:            p.rng,
-			Micro:          imageOfMicro(p.micro),
-			Tick:           p.tick,
-			StepScheduled:  p.stepScheduled,
-			CurEpoch:       p.curEpoch,
-			InstrSinceCkpt: p.instrSinceCkpt,
-			History:        make([]ckptRecImage, len(p.history)),
-			DelayedQueue:   p.delayedQueue,
-			DrainRush:      p.drainRush,
-			Faulty:         p.faulty,
-			Tainted:        p.tainted,
-			DepStallSince:  p.depStallSince,
-			RestoreGen:     p.restoreGen,
-		}
-		for j, r := range p.history {
-			pi.History[j] = ckptRecImage{
-				OpenedEpoch: r.OpenedEpoch,
-				Snap: regImage{
-					Stream: r.Snap.stream.Image(),
-					Micro:  imageOfMicro(r.Snap.micro),
-					RNG:    r.Snap.rng,
-					Tick:   r.Snap.tick,
-				},
-				CompletedAt: r.CompletedAt,
-				Lines:       r.Lines,
+// codeDeps codes a Dep register file of at most capacity sets whose
+// processor bitsets hold one to ⌈nprocs/64⌉ words, as live ones do.
+func codeDeps(c *wire.Codec, s *dep.Snapshot, capacity, nprocs int) {
+	c.Int(&s.NLive)
+	wire.Slice(c, "Dep register sets", &s.Sets, capacity, 15)
+	for i := range s.Sets {
+		ss := &s.Sets[i]
+		c.U(&ss.Epoch)
+		for _, b := range [...]**bitset.Bitset{&ss.MyProducers, &ss.MyConsumers, &ss.PExact, &ss.CExact} {
+			var w []uint64
+			if !c.Dec {
+				w = (*b).Words()
+			}
+			if c.U64s("bitset words", &w, max(1, (nprocs+63)/64)); len(w) == 0 {
+				c.Fail("empty processor bitset")
+			} else if c.Dec {
+				*b = bitset.FromWords(w)
 			}
 		}
-		procs[i] = pi
+		c.U64s("signature words", &ss.WSIG.Bloom, math.MaxInt)
+		c.U64s("signature slots", &ss.WSIG.Slots, math.MaxInt)
+		c.Int(&ss.WSIG.N)
+		c.Flag(&ss.WSIG.HasZero)
+		c.U(&ss.WSIG.Tests, &ss.WSIG.FalsePositives)
 	}
-	return procs
 }
 
-// encodeScheme serializes the opaque scheme state of s, if any.
-func (m *Machine) encodeScheme(s *MachineSnapshot) (json.RawMessage, error) {
-	if s.scheme == nil {
-		return nil, nil
+// codeLog codes the undo log of an nprocs machine with an ids-line table.
+func codeLog(c *wire.Codec, im *mem.LogImage, nprocs, ids int) {
+	if wire.Slice(c, "log processor lists", &im.PerPID, nprocs, 2); c.Dec {
+		im.MinEpoch = make([]uint64, len(im.PerPID))
 	}
-	sp, ok := m.Scheme.(SchemePersister)
-	if !ok {
-		return nil, fmt.Errorf("machine: scheme %s holds snapshot state but does not implement SchemePersister", m.Scheme.Name())
+	for pid := range im.PerPID {
+		c.U(&im.MinEpoch[pid])
+		es := &im.PerPID[pid]
+		wire.Slice(c, "log entries", es, math.MaxInt, 6)
+		for k := range *es {
+			e := &(*es)[k]
+			c.U(&e.Seq, &e.Epoch, &e.Line)
+			word(c, &e.Old)
+			if c.U(&e.At); c.Dec {
+				e.PID = pid
+			}
+		}
 	}
-	return sp.EncodeSchemeState(s.scheme)
+	if wire.Slice(c, "log keys", &im.LastPID, ids, 2); c.Dec {
+		im.LastEpoch = make([]uint64, len(im.LastPID))
+	}
+	for id := range im.LastPID {
+		pids(c, "log key", nprocs, &im.LastPID[id])
+		c.U(&im.LastEpoch[id])
+	}
+	c.Int(&im.Total)
+	c.U(&im.NextSeq, &im.SinceStub)
+	c.Flag(&im.AlwaysLog)
+}
+
+// proc codes processor i's state: L1, L2, Dep registers, and registers
+// with checkpoint state, each its own section.
+func (m *Machine) proc(c *wire.Codec, i int, s *procSnapshot) {
+	p := m.Procs[i]
+	c.Section("L1", func() { codeCache(c, &s.l1, p.l1.Capacity()) })
+	c.Section("L2", func() { codeCache(c, &s.l2, p.l2.Capacity()) })
+	c.Section("Dep registers", func() { codeDeps(c, &s.deps, p.deps.Capacity(), m.Cfg.NProcs) })
+	c.Section("processor state", func() {
+		m.regs(c, &s.regs, i)
+		c.U(&s.curEpoch, &s.instrSinceCkpt, &s.depStallSince, &s.restoreGen)
+		c.Flag(&s.stepScheduled, &s.drainRush, &s.faulty, &s.tainted)
+		wire.Slice(c, "checkpoint records", &s.history, math.MaxInt, regsBytes+3)
+		for j := range s.history {
+			h := &s.history[j]
+			c.U(&h.OpenedEpoch)
+			m.regs(c, &h.Snap, i)
+			c.U(&h.CompletedAt, &h.Lines)
+		}
+		c.U64s("delayed writebacks", &s.delayedQueue, math.MaxInt)
+	})
+}
+
+// layout codes s in payload order, with m as the target machine. The
+// stats and scheme-state sections pass through st and scheme as JSON.
+func (m *Machine) layout(c *wire.Codec, s *MachineSnapshot, st, scheme *[]byte) {
+	n := m.Cfg.NProcs
+	want := [2][]byte{appendConfig(nil, m.Cfg), []byte(m.Scheme.Name())}
+	got := want
+	c.Section("config", func() { c.Raw(&got[0]) })
+	c.Section("scheme name", func() { c.Raw(&got[1]) })
+	switch {
+	case c.Err != nil:
+	case !bytes.Equal(got[0], want[0]):
+		c.Fail("config mismatch")
+	case !bytes.Equal(got[1], want[1]):
+		c.Fail("captured under scheme %s, machine runs %s", got[1], want[1])
+	}
+	c.Section("engine", func() {
+		c.U(&s.now, &s.seq, &s.totalInstr, &s.targetInstr)
+		wire.Slice(c, "pending events", &s.events, 2*n, 4)
+		for i := range s.events {
+			ev := &s.events[i]
+			c.U(&ev.At, &ev.Seq)
+			c.Byte(&ev.Tag.Kind)
+			pids(c, "event tag", n, &ev.Tag.ID)
+		}
+	})
+	c.Section("stats", func() { c.Raw(st) })
+	c.Section("line table", func() { c.U64s("line table entries", &s.tab, math.MaxInt) })
+	ids := len(s.tab)
+	c.Section("memory", func() {
+		c.Int(&s.mem.Nonzero)
+		wire.Slice(c, "memory words", &s.mem.Words, ids, 2)
+		for i := range s.mem.Words {
+			word(c, &s.mem.Words[i])
+		}
+	})
+	var log mem.LogImage
+	if !c.Dec {
+		log = s.log.Image()
+	}
+	if c.Section("log", func() { codeLog(c, &log, n, ids) }); c.Dec && c.Err == nil {
+		if err := s.log.FromImage(&log); err != nil {
+			c.Fail("%v", err)
+		}
+	}
+	c.Section("DRAM", func() {
+		c.U64s("DRAM read channels", &s.dram.ReadFree, math.MaxInt)
+		c.U64s("DRAM write channels", &s.dram.WBFree, math.MaxInt)
+	})
+	c.Section("directory", func() {
+		for _, col := range []*[]int32{&s.dir.Owner, &s.dir.LWID} {
+			wire.Slice(c, "directory entries", col, ids, 1)
+			for i := range *col {
+				pids(c, "directory entry", n, &(*col)[i])
+			}
+		}
+		c.U64s("directory sharer words", &s.dir.Sharers, math.MaxInt)
+	})
+	c.Section("procs", func() {
+		if wire.Slice(c, "procs", &s.procs, n, 1); len(s.procs) != n && c.Err == nil {
+			c.Fail("%d procs, want %d", len(s.procs), n)
+		}
+		for i := range s.procs {
+			c.Section("proc", func() { m.proc(c, i, &s.procs[i]) })
+		}
+	})
+	c.Section("scheme state", func() { c.Raw(scheme) })
 }
 
 // EncodeSnapshot serializes s, which must have been captured from a
@@ -251,78 +310,31 @@ func (m *Machine) EncodeSnapshot(s *MachineSnapshot) ([]byte, error) {
 	if !sameConfig(s.cfg, m.Cfg) {
 		return nil, fmt.Errorf("machine: encode snapshot config mismatch")
 	}
-	scheme, err := m.encodeScheme(s)
+	var scheme []byte
+	if s.scheme != nil {
+		sp, ok := m.Scheme.(SchemePersister)
+		if !ok {
+			return nil, fmt.Errorf("machine: scheme %s holds snapshot state but does not implement SchemePersister", m.Scheme.Name())
+		}
+		var err error
+		if scheme, err = sp.EncodeSchemeState(s.scheme); err != nil {
+			return nil, err
+		}
+	}
+	st, err := json.Marshal(s.st)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("machine: encode snapshot stats: %w", err)
 	}
-	im := snapshotImage{
-		Format:      SnapshotFormat,
-		Cfg:         s.cfg,
-		Now:         s.now,
-		Seq:         s.seq,
-		Events:      s.events,
-		TotalInstr:  s.totalInstr,
-		TargetInstr: s.targetInstr,
-		Tab:         s.tab,
-		St:          s.st,
-		Mem:         s.mem,
-		Log:         s.log.Image(),
-		DRAM:        s.dram,
-		Dir:         s.dir,
-		Procs:       encodeProcs(s),
-		SchemeName:  m.Scheme.Name(),
-		Scheme:      scheme,
+	c := &wire.Codec{B: binary.LittleEndian.AppendUint32([]byte(snapshotMagic), SnapshotFormat)}
+	if m.layout(c, s, &st, &scheme); c.Err != nil {
+		return nil, fmt.Errorf("machine: encode snapshot: %w", c.Err)
 	}
-	return json.Marshal(&im)
-}
-
-// decodeProcs rebuilds the per-processor snapshot states from their
-// images, re-deriving stream identity from m.
-func (m *Machine) decodeProcs(images []procImage) []procSnapshot {
-	procs := make([]procSnapshot, len(images))
-	for i := range images {
-		pi := &images[i]
-		ps := procSnapshot{
-			l1:             pi.L1.snapshot(),
-			l2:             pi.L2.snapshot(),
-			deps:           pi.Deps,
-			stream:         workload.StateFromImage(m.prof, i, m.Cfg.NProcs, pi.Stream),
-			rng:            pi.RNG,
-			micro:          pi.Micro.state(),
-			tick:           pi.Tick,
-			stepScheduled:  pi.StepScheduled,
-			curEpoch:       pi.CurEpoch,
-			instrSinceCkpt: pi.InstrSinceCkpt,
-			history:        make([]CkptRec, len(pi.History)),
-			delayedQueue:   pi.DelayedQueue,
-			drainRush:      pi.DrainRush,
-			faulty:         pi.Faulty,
-			tainted:        pi.Tainted,
-			depStallSince:  pi.DepStallSince,
-			restoreGen:     pi.RestoreGen,
-		}
-		for j := range pi.History {
-			h := &pi.History[j]
-			ps.history[j] = CkptRec{
-				OpenedEpoch: h.OpenedEpoch,
-				Snap: Snapshot{
-					stream: workload.StateFromImage(m.prof, i, m.Cfg.NProcs, h.Snap.Stream),
-					micro:  h.Snap.Micro.state(),
-					rng:    h.Snap.RNG,
-					tick:   h.Snap.Tick,
-				},
-				CompletedAt: h.CompletedAt,
-				Lines:       h.Lines,
-			}
-		}
-		procs[i] = ps
-	}
-	return procs
+	return c.B, nil
 }
 
 // decodeScheme deserializes the opaque scheme state. A stateful scheme
 // requires it; a stateless one must not be handed any.
-func (m *Machine) decodeScheme(raw json.RawMessage) (any, error) {
+func (m *Machine) decodeScheme(raw []byte) (any, error) {
 	if len(raw) == 0 {
 		if _, ok := m.Scheme.(SchemeSnapshotter); ok {
 			return nil, fmt.Errorf("machine: snapshot lacks the state of scheme %s", m.Scheme.Name())
@@ -336,59 +348,39 @@ func (m *Machine) decodeScheme(raw json.RawMessage) (any, error) {
 	return sp.DecodeSchemeState(raw)
 }
 
-// checkShape validates every decoded array against m's geometry, so a
-// malformed payload fails decode instead of tripping an invariant panic
-// in Restore. ID-indexed arrays may be shorter than the line table
-// (Restore reads a missing tail as untouched lines) but never longer.
-func (m *Machine) checkShape(im *snapshotImage) error {
+// checkShape validates what the layout's reads could not check alone,
+// so a malformed payload fails decode instead of tripping an invariant
+// panic in Restore: the stats shape, the pending events, the memory's
+// non-zero count, the directory columns, the DRAM channels and the Dep
+// register files.
+func (m *Machine) checkShape(s *MachineSnapshot) error {
 	n := m.Cfg.NProcs
-	if im.SchemeName != m.Scheme.Name() {
-		return fmt.Errorf("machine: snapshot captured under scheme %s, machine runs %s", im.SchemeName, m.Scheme.Name())
-	}
-	if len(im.Procs) != n {
-		return fmt.Errorf("machine: snapshot has %d procs, want %d", len(im.Procs), n)
-	}
-	if im.St == nil || im.St.NProcs != n {
+	if s.st.NProcs != n {
 		return fmt.Errorf("machine: snapshot stats shape mismatch")
 	}
-	if err := im.St.CheckShape(); err != nil {
+	if err := s.st.CheckShape(); err != nil {
 		return err
 	}
-	if err := checkEvents(im, n); err != nil {
+	if err := checkEvents(s, n); err != nil {
 		return err
-	}
-	ids := len(im.Tab)
-	if len(im.Mem.Words) > ids || len(im.Dir.Owner) > ids || len(im.Log.LastPID) > ids {
-		return fmt.Errorf("machine: snapshot arrays (%d words, %d directory entries, %d log keys) exceed its %d-line table",
-			len(im.Mem.Words), len(im.Dir.Owner), len(im.Log.LastPID), ids)
 	}
 	nonzero := 0
-	for _, w := range im.Mem.Words {
+	for _, w := range s.mem.Words {
 		if w != (mem.Word{}) {
 			nonzero++
 		}
 	}
-	if nonzero != im.Mem.Nonzero {
-		return fmt.Errorf("machine: snapshot memory holds %d non-zero lines, header says %d", nonzero, im.Mem.Nonzero)
+	if nonzero != s.mem.Nonzero {
+		return fmt.Errorf("machine: snapshot memory holds %d non-zero lines, header says %d", nonzero, s.mem.Nonzero)
 	}
-	if len(im.Log.PerPID) > n {
-		return fmt.Errorf("machine: snapshot log has %d processor lists, want at most %d", len(im.Log.PerPID), n)
-	}
-	if err := m.Dir.CheckSnapshot(&im.Dir); err != nil {
+	if err := m.Dir.CheckSnapshot(&s.dir); err != nil {
 		return err
 	}
-	if err := m.Ctrl.DRAM().CheckSnapshot(&im.DRAM); err != nil {
+	if err := m.Ctrl.DRAM().CheckSnapshot(&s.dram); err != nil {
 		return err
 	}
-	for i := range im.Procs {
-		pi, p := &im.Procs[i], m.Procs[i]
-		if err := pi.L1.check(p.l1); err != nil {
-			return fmt.Errorf("machine: proc %d L1: %w", i, err)
-		}
-		if err := pi.L2.check(p.l2); err != nil {
-			return fmt.Errorf("machine: proc %d L2: %w", i, err)
-		}
-		if err := p.deps.CheckSnapshot(&pi.Deps); err != nil {
+	for i := range s.procs {
+		if err := m.Procs[i].deps.CheckSnapshot(&s.procs[i].deps); err != nil {
 			return fmt.Errorf("machine: proc %d: %w", i, err)
 		}
 	}
@@ -398,14 +390,14 @@ func (m *Machine) checkShape(im *snapshotImage) error {
 // checkEvents validates the pending-event list, which Engine.Load
 // takes as given: each event names a processor task, and a processor
 // has at most one pending step and one pending drain event; no event
-// lies before Now or carries a sequence number above the snapshot's
+// lies before now or carries a sequence number above the snapshot's
 // counter or one already used; and the array is a binary min-heap on
 // (at, seq). A list that breaks any of these would decode and then
 // fire events in the wrong order.
-func checkEvents(im *snapshotImage, n int) error {
+func checkEvents(s *MachineSnapshot, n int) error {
 	pending := make([]uint8, n) // per processor, a bit per tag kind
-	seqs := make(map[uint64]bool, len(im.Events))
-	for i, ev := range im.Events {
+	seqs := make(map[uint64]bool, len(s.events))
+	for i, ev := range s.events {
 		if (ev.Tag.Kind != tagStep && ev.Tag.Kind != tagDrain) || ev.Tag.ID < 0 || int(ev.Tag.ID) >= n {
 			return fmt.Errorf("machine: snapshot event tag %+v names no processor task", ev.Tag)
 		}
@@ -414,15 +406,15 @@ func checkEvents(im *snapshotImage, n int) error {
 			return fmt.Errorf("machine: snapshot has two pending events tagged %+v", ev.Tag)
 		}
 		pending[ev.Tag.ID] |= bit
-		if ev.At < im.Now {
-			return fmt.Errorf("machine: snapshot event at cycle %d is before now (%d)", ev.At, im.Now)
+		if ev.At < s.now {
+			return fmt.Errorf("machine: snapshot event at cycle %d is before now (%d)", ev.At, s.now)
 		}
-		if ev.Seq > im.Seq || seqs[ev.Seq] {
-			return fmt.Errorf("machine: snapshot event sequence %d is above the counter (%d) or repeated", ev.Seq, im.Seq)
+		if ev.Seq > s.seq || seqs[ev.Seq] {
+			return fmt.Errorf("machine: snapshot event sequence %d is above the counter (%d) or repeated", ev.Seq, s.seq)
 		}
 		seqs[ev.Seq] = true
 		if i > 0 {
-			if p := im.Events[(i-1)/2]; ev.At < p.At || ev.At == p.At && ev.Seq < p.Seq {
+			if p := s.events[(i-1)/2]; ev.At < p.At || ev.At == p.At && ev.Seq < p.Seq {
 				return fmt.Errorf("machine: snapshot events out of heap order at position %d", i)
 			}
 		}
@@ -435,42 +427,32 @@ func checkEvents(im *snapshotImage, n int) error {
 // shard count. The payload's format version, Config (apart from Shards)
 // and scheme name must match m, and its arrays must fit m's geometry.
 func (m *Machine) DecodeSnapshot(data []byte) (*MachineSnapshot, error) {
-	var im snapshotImage
-	if err := json.Unmarshal(data, &im); err != nil {
-		return nil, fmt.Errorf("machine: decode snapshot: %w", err)
+	head := len(snapshotMagic) + 4
+	if len(data) < head || string(data[:len(snapshotMagic)]) != snapshotMagic {
+		return nil, fmt.Errorf("machine: snapshot has a bad magic: not a format-%d payload", SnapshotFormat)
 	}
-	if im.Format != SnapshotFormat {
-		return nil, fmt.Errorf("machine: snapshot format %d, want %d", im.Format, SnapshotFormat)
+	if f := binary.LittleEndian.Uint32(data[len(snapshotMagic):]); f != SnapshotFormat {
+		return nil, fmt.Errorf("machine: snapshot format %d, want %d", f, SnapshotFormat)
 	}
-	if !sameConfig(im.Cfg, m.Cfg) {
-		return nil, fmt.Errorf("machine: snapshot config mismatch")
+	c := &wire.Codec{Dec: true, B: data[head:]}
+	s := &MachineSnapshot{cfg: m.Cfg, st: new(stats.Stats)}
+	var st, scheme []byte
+	if m.layout(c, s, &st, &scheme); c.Err == nil && len(c.B) != 0 {
+		c.Fail("%d trailing bytes", len(c.B))
 	}
-	if err := m.checkShape(&im); err != nil {
+	if c.Err != nil {
+		return nil, fmt.Errorf("machine: decode snapshot: %w", c.Err)
+	}
+	if err := json.Unmarshal(st, s.st); err != nil {
+		return nil, fmt.Errorf("machine: snapshot stats: %w", err)
+	}
+	if err := m.checkShape(s); err != nil {
 		return nil, err
 	}
-	s := &MachineSnapshot{
-		cfg:         m.Cfg,
-		now:         im.Now,
-		seq:         im.Seq,
-		events:      im.Events,
-		totalInstr:  im.TotalInstr,
-		targetInstr: im.TargetInstr,
-		tab:         im.Tab,
-		st:          im.St,
-		mem:         im.Mem,
-		dram:        im.DRAM,
-		dir:         im.Dir,
-		procs:       m.decodeProcs(im.Procs),
-	}
-	if err := s.log.FromImage(&im.Log); err != nil {
+	var err error
+	if s.scheme, err = m.decodeScheme(scheme); err != nil {
 		return nil, err
 	}
-	scheme, err := m.decodeScheme(im.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	s.scheme = scheme
-	s.valid = true
-	s.gen = 1
+	s.valid, s.gen = true, 1
 	return s, nil
 }

@@ -2,8 +2,8 @@ package machine_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -15,7 +15,7 @@ import (
 
 // fft4 builds the FFT/4 quick Rebound machine the decoder tests target,
 // with two-set caches. The payload persists only occupied cache ways,
-// so small caches trim it from 557 KB to 375 KB: the fuzzer mutates
+// so small caches trim it from 171 KB to 116 KB: the fuzzer mutates
 // fewer bytes of cache lines and more of everything else.
 func fft4(tb testing.TB, shards int) *machine.Machine {
 	tb.Helper()
@@ -51,123 +51,326 @@ func fft4Payload(tb testing.TB, shards int) []byte {
 	return enc
 }
 
-// obj and arr walk a generically decoded payload; num reads one of its
-// numbers.
-func obj(v any, key string) map[string]any { return v.(map[string]any)[key].(map[string]any) }
-func arr(v any, key string) []any          { return v.(map[string]any)[key].([]any) }
-func num(v any) uint64 {
-	n, err := strconv.ParseUint(string(v.(json.Number)), 10, 64)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
+// The helpers below walk format 5's framing (persist.go): a payload is
+// a 12-byte header and a run of sections, each a little-endian uint32
+// length and a body. A case edits one field of a real payload and
+// leaves every other byte as it was.
 
-// decodeDoc decodes payload generically, keeping 64-bit RNG states and
-// stamps exact.
-func decodeDoc(tb testing.TB, payload []byte) map[string]any {
+// Top-level sections, in payload order.
+const (
+	secConfig = iota
+	secSchemeName
+	secEngine
+	secStats
+	secTable
+	secMemory
+	secLog
+	secDRAM
+	secDir
+	secProcs
+	secSchemeState
+)
+
+const headLen = 12 // magic and format
+
+// sections splits a run of sections into their bodies.
+func sections(tb testing.TB, b []byte) [][]byte {
 	tb.Helper()
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.UseNumber()
-	var doc map[string]any
-	if err := dec.Decode(&doc); err != nil {
-		tb.Fatal(err)
+	var out [][]byte
+	for len(b) > 0 {
+		if len(b) < 4 || int(binary.LittleEndian.Uint32(b)) > len(b)-4 {
+			tb.Fatal("malformed section framing")
+		}
+		n := binary.LittleEndian.Uint32(b)
+		out = append(out, b[4:4+n:4+n]) // capped: an edit's append copies
+		b = b[4+n:]
 	}
-	return doc
+	return out
 }
 
-// TestDecodeSnapshotRejectsMalformed: a payload that is well-formed JSON
-// and passes the store's hash check can still disagree with the target
-// machine's geometry. Each such payload must fail decode with an error;
-// before the shape checks, most of them decoded and then panicked inside
-// Restore's parallel workers, and the rest were accepted silently.
+// join frames bodies back into a run of sections.
+func join(bodies ...[]byte) []byte {
+	var b []byte
+	for _, body := range bodies {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+		b = append(b, body...)
+	}
+	return b
+}
+
+// doc is a payload split into its top-level sections and processor 0's
+// four sections (L1, L2, Dep registers, state).
+type doc struct {
+	head  []byte
+	secs  [][]byte
+	nproc uint64
+	procs [][]byte // every processor's section body
+	proc0 [][]byte // processor 0's sections
+	cut   int      // bytes dropped from the end
+}
+
+func splitPayload(tb testing.TB, payload []byte) *doc {
+	tb.Helper()
+	d := &doc{head: payload[:headLen], secs: sections(tb, payload[headLen:])}
+	r := reader{b: d.secs[secProcs]}
+	d.nproc = r.uv()
+	d.procs = sections(tb, r.b)
+	d.proc0 = sections(tb, d.procs[0])
+	return d
+}
+
+func (d *doc) bytes() []byte {
+	procs := append([][]byte{join(d.proc0...)}, d.procs[1:]...)
+	secs := append([][]byte(nil), d.secs...)
+	secs[secProcs] = append(binary.AppendUvarint(nil, d.nproc), join(procs...)...)
+	b := append(append([]byte(nil), d.head...), join(secs...)...)
+	return b[:len(b)-d.cut]
+}
+
+// reader reads the varints of a section body.
+type reader struct{ b []byte }
+
+func (r *reader) uv() uint64 {
+	v, n := binary.Uvarint(r.b)
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) iv() int64 {
+	v, n := binary.Varint(r.b)
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) take(n int) []byte {
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+
+// cacheSec is a cache section: ways, LRU clock, pair count, then the
+// (index, line) pairs, each line kept as its bytes.
+type cacheSec struct {
+	ways, lru, count uint64
+	idx              []uint64
+	lines            [][]byte
+}
+
+func parseCache(b []byte) *cacheSec {
+	r := reader{b: b}
+	c := &cacheSec{ways: r.uv(), lru: r.uv(), count: r.uv()}
+	for j := uint64(0); j < c.count; j++ {
+		c.idx = append(c.idx, r.uv())
+		at := r.b
+		r.uv()    // addr
+		r.take(4) // state, dirty, delayed, poison
+		r.uv()    // epoch
+		r.uv()    // data
+		r.uv()    // LRU
+		c.lines = append(c.lines, at[:len(at)-len(r.b)])
+	}
+	return c
+}
+
+func (c *cacheSec) bytes() []byte {
+	b := append(append(uv(c.ways), uv(c.lru)...), uv(c.count)...)
+	for j := range c.idx {
+		b = append(append(b, uv(c.idx[j])...), c.lines[j]...)
+	}
+	return b
+}
+
+// engineSec is the engine section: clock, counters, pending events.
+type engineSec struct {
+	now, seq, total, target uint64
+	evs                     []event
+}
+
+type event struct {
+	at, seq uint64
+	kind    byte
+	id      int64
+}
+
+func parseEngine(b []byte) *engineSec {
+	r := reader{b: b}
+	e := &engineSec{now: r.uv(), seq: r.uv(), total: r.uv(), target: r.uv()}
+	for n := r.uv(); n > 0; n-- {
+		e.evs = append(e.evs, event{at: r.uv(), seq: r.uv(), kind: r.take(1)[0], id: r.iv()})
+	}
+	return e
+}
+
+func (e *engineSec) bytes() []byte {
+	var b []byte
+	for _, v := range []uint64{e.now, e.seq, e.total, e.target, uint64(len(e.evs))} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, ev := range e.evs {
+		b = append(append(append(b, uv(ev.at)...), uv(ev.seq)...), ev.kind)
+		b = binary.AppendVarint(b, ev.id)
+	}
+	return b
+}
+
+// TestDecodeSnapshotRejectsMalformed: a payload that passes the store's
+// hash check can still disagree with the target machine's geometry or
+// with its own framing. Each such payload must fail decode with an
+// error; before the shape checks, most of them decoded and then
+// panicked inside Restore's parallel workers, and the rest were
+// accepted silently.
 func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 	payload := fft4Payload(t, 1)
 	target := fft4(t, 4)
-	proc0 := func(doc map[string]any) any { return arr(doc, "procs")[0] }
-	l2 := func(doc map[string]any) map[string]any { return obj(proc0(doc), "l2") }
-	event := func(doc map[string]any, i int) map[string]any { return arr(doc, "events")[i].(map[string]any) }
+	l2 := func(d *doc, edit func(c *cacheSec)) {
+		c := parseCache(d.proc0[1])
+		edit(c)
+		d.proc0[1] = c.bytes()
+	}
+	engine := func(d *doc, edit func(e *engineSec)) {
+		e := parseEngine(d.secs[secEngine])
+		edit(e)
+		d.secs[secEngine] = e.bytes()
+	}
+	// want, where set, is a part of the error that names the check.
 	cases := []struct {
-		name   string
-		mutate func(doc map[string]any)
+		name, want string
+		mutate     func(d *doc)
 	}{
-		{"unmutated", func(map[string]any) {}},
-		{"L2 one line short", func(doc map[string]any) {
+		{"unmutated", "", func(*doc) {}},
+		{"L2 one line short", "", func(d *doc) {
 			// The image describes a cache one way smaller than the target.
-			l2(doc)["ways"] = num(l2(doc)["ways"]) - 1
+			l2(d, func(c *cacheSec) { c.ways-- })
 		}},
-		{"L2 way index at capacity", func(doc map[string]any) {
-			idx := arr(l2(doc), "index")
-			idx[len(idx)-1] = l2(doc)["ways"]
+		{"L2 way index at capacity", "", func(d *doc) {
+			l2(d, func(c *cacheSec) { c.idx[len(c.idx)-1] = c.ways })
 		}},
-		{"L2 way indices out of order", func(doc map[string]any) {
-			idx := arr(l2(doc), "index")
-			idx[0], idx[1] = idx[1], idx[0]
+		{"L2 way indices out of order", "", func(d *doc) {
+			l2(d, func(c *cacheSec) { c.idx[0], c.idx[1] = c.idx[1], c.idx[0] })
 		}},
-		{"L2 duplicate way index", func(doc map[string]any) {
-			idx := arr(l2(doc), "index")
-			idx[1] = idx[0]
+		{"L2 duplicate way index", "", func(d *doc) {
+			l2(d, func(c *cacheSec) { c.idx[1] = c.idx[0] })
 		}},
-		{"L2 index and line counts differ", func(doc map[string]any) {
-			l2(doc)["lines"] = arr(l2(doc), "lines")[1:]
+		{"L2 index and line counts differ", "", func(d *doc) {
+			// The count claims one pair more than the section holds.
+			l2(d, func(c *cacheSec) { c.count++ })
 		}},
-		{"event before now", func(doc map[string]any) {
-			event(doc, 0)["At"] = num(doc["now"]) - 1
+		{"event before now", "", func(d *doc) {
+			engine(d, func(e *engineSec) { e.evs[0].at = e.now - 1 })
 		}},
-		{"event sequence above the counter", func(doc map[string]any) {
-			evs := arr(doc, "events")
-			event(doc, len(evs)-1)["Seq"] = num(doc["seq"]) + 1
+		{"event sequence above the counter", "", func(d *doc) {
+			engine(d, func(e *engineSec) { e.evs[len(e.evs)-1].seq = e.seq + 1 })
 		}},
-		{"duplicate event sequence", func(doc map[string]any) {
+		{"duplicate event sequence", "", func(d *doc) {
 			// Equal keys at parent and child keep the heap order valid.
-			event(doc, 1)["At"], event(doc, 1)["Seq"] = event(doc, 0)["At"], event(doc, 0)["Seq"]
+			engine(d, func(e *engineSec) { e.evs[1].at, e.evs[1].seq = e.evs[0].at, e.evs[0].seq })
 		}},
-		{"two step events for one processor", func(doc map[string]any) {
-			obj(event(doc, 1), "Tag")["ID"] = obj(event(doc, 0), "Tag")["ID"]
+		{"two step events for one processor", "", func(d *doc) {
+			engine(d, func(e *engineSec) { e.evs[1].id = e.evs[0].id })
 		}},
-		{"two drain events for one processor", func(doc map[string]any) {
-			for i := 0; i < 2; i++ {
-				event(doc, i)["Tag"] = map[string]any{"Kind": 2, "ID": 0} // Kind 2: drain
+		{"two drain events for one processor", "", func(d *doc) {
+			engine(d, func(e *engineSec) {
+				for i := 0; i < 2; i++ {
+					e.evs[i].kind, e.evs[i].id = 2, 0 // kind 2: drain
+				}
+			})
+		}},
+		{"events out of heap order", "", func(d *doc) {
+			engine(d, func(e *engineSec) { e.evs[0], e.evs[1] = e.evs[1], e.evs[0] })
+		}},
+		{"dep register set short", "", func(d *doc) {
+			// The set count says one set fewer than the tracker holds.
+			r := reader{b: d.proc0[2]}
+			nlive, sets := r.uv(), r.uv()
+			d.proc0[2] = append(append(uv(nlive), uv(sets-1)...), r.b...)
+		}},
+		{"null MyProducers bitset", "", func(d *doc) {
+			// Set 0's MyProducers holds no words at all.
+			r := reader{b: d.proc0[2]}
+			head := append(append(uv(r.uv()), uv(r.uv())...), uv(r.uv())...) // NLive, set count, epoch
+			for n := r.uv(); n > 0; n-- {
+				r.uv()
 			}
+			d.proc0[2] = append(append(head, uv(0)...), r.b...)
 		}},
-		{"events out of heap order", func(doc map[string]any) {
-			evs := arr(doc, "events")
-			evs[0], evs[1] = evs[1], evs[0]
+		{"event tag ID 99", "", func(d *doc) {
+			engine(d, func(e *engineSec) { e.evs[0].id = 99 })
 		}},
-		{"dep register set short", func(doc map[string]any) {
-			deps := obj(proc0(doc), "deps")
-			deps["Sets"] = arr(deps, "Sets")[1:]
+		{"empty DRAM ReadFree", "", func(d *doc) {
+			r := reader{b: d.secs[secDRAM]}
+			for n := r.uv(); n > 0; n-- {
+				r.uv()
+			}
+			d.secs[secDRAM] = append(uv(0), r.b...)
 		}},
-		{"null MyProducers bitset", func(doc map[string]any) {
-			arr(obj(proc0(doc), "deps"), "Sets")[0].(map[string]any)["MyProducers"] = nil
+		{"stats Instructions short", "", func(d *doc) {
+			var st map[string]json.RawMessage
+			if err := json.Unmarshal(d.secs[secStats], &st); err != nil {
+				t.Fatal(err)
+			}
+			var instr []uint64
+			if err := json.Unmarshal(st["Instructions"], &instr); err != nil {
+				t.Fatal(err)
+			}
+			st["Instructions"], _ = json.Marshal(instr[1:])
+			d.secs[secStats], _ = json.Marshal(st)
 		}},
-		{"event tag ID 99", func(doc map[string]any) {
-			obj(arr(doc, "events")[0], "Tag")["ID"] = 99
+		{"empty memory words", "", func(d *doc) {
+			// The non-zero count stays; the word column goes.
+			r := reader{b: d.secs[secMemory]}
+			d.secs[secMemory] = append(uv(r.uv()), uv(0)...)
 		}},
-		{"empty DRAM ReadFree", func(doc map[string]any) {
-			obj(doc, "dram")["ReadFree"] = []any{}
+		{"L2 pair count beyond the cache's ways", "exceed the limit", func(d *doc) {
+			l2(d, func(c *cacheSec) { c.count = c.ways + 1 })
 		}},
-		{"stats Instructions short", func(doc map[string]any) {
-			st := obj(doc, "st")
-			st["Instructions"] = arr(st, "Instructions")[1:]
+		{"memory word count beyond the line table", "exceed the limit", func(d *doc) {
+			r := reader{b: d.secs[secMemory]}
+			d.secs[secMemory] = append(uv(r.uv()), uv(1<<40)...)
 		}},
-		{"empty memory words", func(doc map[string]any) {
-			obj(doc, "mem")["Words"] = []any{}
+		{"more pending events than two per processor", "exceed the limit", func(d *doc) {
+			engine(d, func(e *engineSec) {
+				for len(e.evs) <= 2*4 {
+					e.evs = append(e.evs, e.evs[0])
+				}
+			})
+		}},
+		{"log entry count beyond the bytes left", "overrun", func(d *doc) {
+			r := reader{b: d.secs[secLog]}
+			head := append(uv(r.uv()), uv(r.uv())...) // list count, list 0's epoch floor
+			r.uv()
+			d.secs[secLog] = append(append(head, uv(1<<40)...), r.b...)
+		}},
+		{"section length beyond the bytes left", "overruns", func(d *doc) {
+			// The last section's length counts one byte the payload lacks.
+			d.secs[secSchemeState] = append(d.secs[secSchemeState], 0)
+			d.cut = 1
+		}},
+		{"trailing byte in a section", "trailing", func(d *doc) {
+			d.secs[secDRAM] = append(d.secs[secDRAM], 0)
+		}},
+		{"processor ID beyond the machine", "no processor 4", func(d *doc) {
+			// Line 0's directory owner is processor 4 of 4.
+			r := reader{b: d.secs[secDir]}
+			n := r.uv()
+			r.iv()
+			d.secs[secDir] = append(append(uv(n), binary.AppendVarint(nil, 4)...), r.b...)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			doc := decodeDoc(t, payload)
-			tc.mutate(doc)
-			data, err := json.Marshal(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := splitPayload(t, payload)
+			tc.mutate(d)
+			data := d.bytes()
 			s, err := target.DecodeSnapshot(data)
 			if tc.name == "unmutated" {
-				// The generic re-encoding alone must not be what fails.
+				// The walkers alone must not be what fails.
+				if !bytes.Equal(data, payload) {
+					t.Fatal("split and join did not reproduce the payload")
+				}
 				if err != nil {
-					t.Fatalf("re-encoded payload rejected: %v", err)
+					t.Fatalf("payload rejected: %v", err)
 				}
 				if err := target.Restore(s); err != nil {
 					t.Fatal(err)
@@ -177,37 +380,50 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 			if err == nil {
 				t.Fatal("malformed payload decoded without error")
 			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name the check (%q)", err, tc.want)
+			}
 			t.Log(err)
 		})
 	}
 }
 
-// TestDecodeSnapshotRejectsFormat3: a stored payload of the previous
-// format, whose cache images hold every way, fails decode with the
-// format error rather than loading.
-func TestDecodeSnapshotRejectsFormat3(t *testing.T) {
-	doc := decodeDoc(t, fft4Payload(t, 1))
-	doc["format"] = 3
-	for _, p := range arr(doc, "procs") {
-		for _, level := range []string{"l1", "l2"} {
-			ci := obj(p, level)
-			lines := make([]any, num(ci["ways"]))
-			for i := range lines {
-				lines[i] = map[string]any{"addr": 0, "state": 0, "data": map[string]any{"Val": 0, "Poison": false}}
-			}
-			for j, i := range arr(ci, "index") {
-				lines[num(i)] = arr(ci, "lines")[j]
-			}
-			p.(map[string]any)[level] = map[string]any{"Lines": lines, "LruTick": ci["lru_tick"]}
+// TestDecodeSnapshotRejectsTruncation: a payload cut at any section
+// boundary, or with a byte appended, fails decode.
+func TestDecodeSnapshotRejectsTruncation(t *testing.T) {
+	payload := fft4Payload(t, 1)
+	target := fft4(t, 1)
+	cuts := []int{0, 4, headLen}
+	at := headLen
+	for _, body := range sections(t, payload[headLen:]) {
+		at += 4 + len(body)
+		cuts = append(cuts, at-len(body), at)
+	}
+	for _, cut := range cuts[:len(cuts)-1] {
+		if _, err := target.DecodeSnapshot(payload[:cut]); err == nil {
+			t.Fatalf("payload cut at byte %d of %d decoded without error", cut, len(payload))
 		}
 	}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := target.DecodeSnapshot(append(append([]byte(nil), payload...), 0)); err == nil ||
+		!strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("payload with a trailing byte: got error %v, want the trailing-bytes error", err)
 	}
-	_, err = fft4(t, 1).DecodeSnapshot(data)
-	if err == nil || !strings.Contains(err.Error(), "snapshot format 3, want 4") {
-		t.Fatalf("format-3 payload: got error %v, want the format error", err)
+}
+
+// TestDecodeSnapshotRejectsFormat4: a stored payload of the previous
+// format, JSON, fails decode on the magic; a payload with format 5's
+// magic and another format number fails on the format.
+func TestDecodeSnapshotRejectsFormat4(t *testing.T) {
+	m := fft4(t, 1)
+	_, err := m.DecodeSnapshot([]byte(`{"format":4,"cfg":{"NProcs":4},"now":0,"procs":[]}`))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("format-4 JSON payload: got error %v, want the magic error", err)
+	}
+	payload := fft4Payload(t, 1)
+	binary.LittleEndian.PutUint32(payload[8:], 4)
+	_, err = m.DecodeSnapshot(payload)
+	if err == nil || !strings.Contains(err.Error(), "snapshot format 4, want 5") {
+		t.Fatalf("format-4 header: got error %v, want the format error", err)
 	}
 }
 

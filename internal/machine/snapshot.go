@@ -9,7 +9,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Machine snapshot/restore: the simulator applies the paper's own idea
@@ -82,10 +81,7 @@ type MachineSnapshot struct {
 type procSnapshot struct {
 	l1, l2 cache.Snapshot
 	deps   dep.Snapshot
-	stream workload.State
-	rng    uint64
-	micro  microState
-	tick   uint64
+	regs   Snapshot
 
 	stepScheduled bool
 
@@ -264,10 +260,7 @@ func (p *Proc) saveState(s *procSnapshot) {
 	p.l1.Save(&s.l1)
 	p.l2.Save(&s.l2)
 	p.deps.Save(&s.deps)
-	s.stream = p.stream.Snapshot()
-	s.rng = p.rng.State()
-	s.micro = p.micro
-	s.tick = p.tick
+	s.regs = p.takeSnapshot()
 	s.stepScheduled = p.stepScheduled
 	s.curEpoch, s.instrSinceCkpt = p.curEpoch, p.instrSinceCkpt
 	s.history = s.history[:0]
@@ -288,10 +281,7 @@ func (p *Proc) loadState(s *procSnapshot) {
 	p.l1.Load(&s.l1)
 	p.l2.Load(&s.l2)
 	p.deps.Load(&s.deps)
-	p.stream.Restore(s.stream)
-	p.rng.Restore(s.rng)
-	p.micro = s.micro
-	p.tick = s.tick
+	p.restoreRegs(&s.regs)
 	p.stepScheduled = s.stepScheduled
 	p.paused, p.pauseReq, p.dormant = false, nil, false
 	p.curEpoch, p.instrSinceCkpt = s.curEpoch, s.instrSinceCkpt

@@ -80,3 +80,57 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		})
 	}
 }
+
+// warmFFT16 returns the FFT/16 quick Rebound machine warmed the way a
+// campaign warms it, and its encoded warm snapshot.
+func warmFFT16(b *testing.B) (*machine.Machine, *machine.MachineSnapshot, []byte) {
+	b.Helper()
+	spec := harness.Spec{App: "FFT", Procs: 16, Scheme: "Rebound", Scale: harness.Quick}
+	m, err := harness.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Run(spec.Scale.InstrPerProc * uint64(spec.Procs) / 4)
+	if !m.SettleForSnapshot(sim.Cycle(400_000)) {
+		b.Fatal("machine never reached a snapshot-safe point")
+	}
+	snap := new(machine.MachineSnapshot)
+	if err := m.Snapshot(snap); err != nil {
+		b.Fatal(err)
+	}
+	payload, err := m.EncodeSnapshot(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, snap, payload
+}
+
+// BenchmarkEncodeSnapshot and BenchmarkDecodeSnapshot time the
+// persistent codec on the FFT/16 quick Rebound warm snapshot, the
+// payload a campaign stores and every cold start loads. Their MB/s is
+// payload bytes per second:
+//
+//	go test -run '^$' -bench 'codeSnapshot' -benchmem ./internal/machine/
+func BenchmarkEncodeSnapshot(b *testing.B) {
+	m, snap, payload := warmFFT16(b)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.EncodeSnapshot(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeSnapshot(b *testing.B) {
+	m, _, payload := warmFFT16(b)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.DecodeSnapshot(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

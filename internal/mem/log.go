@@ -1,8 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cow"
 	"repro/internal/sim"
@@ -18,7 +19,7 @@ import (
 // a background writeback of interval i−1 data interleaves in the log
 // with displacements of interval i, and rollback must undo "everything
 // from epoch e onwards for processor p", not "everything after a single
-// stub position" (see DESIGN.md §3.3).
+// stub position" (§4.1).
 type Entry struct {
 	Seq   uint64
 	PID   int
@@ -207,7 +208,8 @@ func (l *Log) Stub(at sim.Cycle) {
 //
 // Restoring in reverse order across all processors in the set is what
 // makes interleaved writes by multiple rolled-back processors unwind
-// correctly (see the WW-dependence discussion in DESIGN.md).
+// correctly: a WW dependence puts both writers in the rollback set
+// (§3.3.5), and the older value must be restored last.
 func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word)) uint64 {
 	// Collect the undone entries of every target processor, compacting
 	// each per-processor list in place.
@@ -231,7 +233,7 @@ func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word
 		}
 	}
 	// Reverse global order across the whole set.
-	sort.Slice(undo, func(i, j int) bool { return undo[i].Seq > undo[j].Seq })
+	slices.SortFunc(undo, func(a, b Entry) int { return cmp.Compare(b.Seq, a.Seq) })
 	for _, e := range undo {
 		restore(e.Line, e.Old)
 		// Invalidate the first-writeback key so a re-executed interval
@@ -373,36 +375,33 @@ func (l *Log) finishLoad(s *LogSnapshot) {
 	l.lkDirty.Clear()
 }
 
-// LogImage is the exported, serializable form of a LogSnapshot, used by
-// the persistent-snapshot codec (machine.EncodeSnapshot). The lastKey
-// slots are split into parallel PID/epoch arrays, indexed by interned
-// line ID, so the unexported logKey type never leaks into the on-disk
-// schema.
+// LogImage is the exported form of a LogSnapshot, used by the
+// persistent-snapshot codec (machine.EncodeSnapshot). The lastKey slots
+// are split into parallel PID/epoch arrays, indexed by interned line
+// ID, so the unexported logKey type never leaks into the codec.
 type LogImage struct {
-	PerPID    [][]Entry `json:"per_pid"`
-	LastPID   []int32   `json:"last_pid"`
-	LastEpoch []uint64  `json:"last_epoch"`
-	MinEpoch  []uint64  `json:"min_epoch"`
-	Total     int       `json:"total"`
-	NextSeq   uint64    `json:"next_seq"`
-	SinceStub uint64    `json:"since_stub"`
-	AlwaysLog bool      `json:"always_log"`
+	PerPID    [][]Entry
+	LastPID   []int32
+	LastEpoch []uint64
+	MinEpoch  []uint64
+	Total     int
+	NextSeq   uint64
+	SinceStub uint64
+	AlwaysLog bool
 }
 
-// Image converts the snapshot to its serializable form.
+// Image returns the snapshot's exported form. Its entry lists and
+// epoch floors share storage with s and must not be modified.
 func (s *LogSnapshot) Image() LogImage {
 	im := LogImage{
-		PerPID:    make([][]Entry, len(s.perPID)),
+		PerPID:    s.perPID,
 		LastPID:   make([]int32, len(s.lastKey)),
 		LastEpoch: make([]uint64, len(s.lastKey)),
-		MinEpoch:  append([]uint64(nil), s.minEpoch...),
+		MinEpoch:  s.minEpoch,
 		Total:     s.total,
 		NextSeq:   s.nextSeq,
 		SinceStub: s.sinceStub,
 		AlwaysLog: s.alwaysLog,
-	}
-	for pid := range s.perPID {
-		im.PerPID[pid] = append([]Entry(nil), s.perPID[pid]...)
 	}
 	for id, k := range s.lastKey {
 		im.LastPID[id], im.LastEpoch[id] = k.pid, k.epoch
@@ -410,7 +409,7 @@ func (s *LogSnapshot) Image() LogImage {
 	return im
 }
 
-// FromImage rebuilds the snapshot from its serializable form, adopting
+// FromImage rebuilds the snapshot from its exported form, adopting
 // the image's entry lists and epoch floors. It returns an error when
 // the image is internally inconsistent (parallel arrays of unequal
 // length).

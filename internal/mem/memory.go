@@ -13,11 +13,10 @@ import "repro/internal/cow"
 // value plus a poison bit. The poison bit is the fault-injection shadow:
 // a faulty core poisons the values it writes, and poison propagates to
 // any consumer. It models corruption for verification; real hardware
-// has no such bit. Words are serialized only inside persisted machine
-// snapshots, where zero fields are omitted.
+// has no such bit.
 type Word struct {
-	Val    uint64 `json:",omitempty"`
-	Poison bool   `json:",omitempty"`
+	Val    uint64
+	Poison bool
 }
 
 // Memory is the line-addressed main memory. Absent lines read as zero.

@@ -231,7 +231,7 @@ func (s *Server) handleStoreNSGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no record %s", name))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ns.ContentType())
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
 }
@@ -247,11 +247,12 @@ func (s *Server) handleStoreNSPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if !json.Valid(data) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("record %s: not valid JSON", name))
+	// PutRaw checks the record: a snapshot record must parse, sit at
+	// its own address and verify; any other record must be JSON.
+	if err := ns.PutRaw(name, data); errors.Is(err, store.ErrInvalidRecord) {
+		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	if err := ns.PutRaw(name, data); err != nil {
+	} else if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}

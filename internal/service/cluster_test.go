@@ -10,6 +10,7 @@ package service
 // store read.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/retry"
+	"repro/internal/store"
 )
 
 // newCoordinator builds a coordinator-role Server on dir and serves it.
@@ -367,5 +369,62 @@ func TestClusterWorkerColdStartOneSnapshotRead(t *testing.T) {
 	}
 	if got := tier.SnapshotReads(); got != 1 {
 		t.Fatalf("cold start cost %d snapshot reads for %d trials, want exactly 1", got, trials)
+	}
+}
+
+// TestStoreProxySnapshotRecords: the store proxy takes a snapshot
+// record only when it parses, verifies and sits at its own address, and
+// serves it back as the same bytes with a binary media type; other
+// namespaces keep their JSON check.
+func TestStoreProxySnapshotRecords(t *testing.T) {
+	_, ts := newCoordinator(t, t.TempDir(), 0)
+	do := func(method, path string, body []byte) (int, string, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), data
+	}
+	rec := store.NewSnapshotRecord("machine-snapshot|proxy", []byte("snapshot payload"))
+	path := "/v1/store/ns/" + store.SnapshotsNamespace + "/" + rec.Key()
+	good := rec.Marshal()
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 1
+	for name, body := range map[string][]byte{
+		"flipped payload": flipped,
+		"truncated":       good[:len(good)-len(rec.Payload)-1],
+		"JSON":            []byte(`{"key":"x"}`),
+	} {
+		if code, _, _ := do(http.MethodPut, path, body); code != http.StatusBadRequest {
+			t.Errorf("PUT %s record: status %d, want 400", name, code)
+		}
+	}
+	other := "/v1/store/ns/" + store.SnapshotsNamespace + "/" + store.SnapshotKeyOf("another key")
+	if code, _, _ := do(http.MethodPut, other, good); code != http.StatusBadRequest {
+		t.Errorf("PUT record under another key's address: status %d, want 400", code)
+	}
+	if code, _, _ := do(http.MethodPut, path, good); code != http.StatusNoContent {
+		t.Fatalf("PUT good record: status %d, want 204", code)
+	}
+	code, ctype, data := do(http.MethodGet, path, nil)
+	if code != http.StatusOK || ctype != "application/octet-stream" || !bytes.Equal(data, good) {
+		t.Fatalf("GET record: status %d, type %q, same bytes %t", code, ctype, bytes.Equal(data, good))
+	}
+	payload, ok, err := cluster.NewRemoteStore(ts.URL, nil, retry.Policy{Attempts: 1}).GetSnapshot("machine-snapshot|proxy")
+	if err != nil || !ok || !bytes.Equal(payload, rec.Payload) {
+		t.Fatalf("RemoteStore.GetSnapshot: ok=%t err=%v payload %q", ok, err, payload)
+	}
+	if code, _, _ := do(http.MethodPut, "/v1/store/ns/campaigns/k/trial-000001", []byte("not json")); code != http.StatusBadRequest {
+		t.Errorf("PUT non-JSON trial record: status %d, want 400", code)
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ import (
 // younger ones are live writes in another goroutine.
 const tempSweepAge = time.Minute
 
-// Namespace is a directory of atomically-written JSON records under a
+// Namespace is a directory of atomically-written records under a
 // Store, for subsystems whose records are not harness Results — the
 // campaign engine persists per-trial records and running aggregates
 // through one namespace per campaign key. Records share the store's
@@ -26,9 +27,17 @@ const tempSweepAge = time.Minute
 //
 // Content addressing is the caller's: the namespace path segments
 // typically embed a content key (e.g. "campaigns", sha256-of-spec).
+//
+// Records are JSON (<name>.json), except in the snapshot namespace,
+// whose records are binary SnapshotRecords (<name>.snap).
 type Namespace struct {
-	dir string
+	dir       string
+	snapshots bool
 }
+
+// ErrInvalidRecord marks a PutRaw refused because the data is not a
+// well-formed record of the namespace.
+var ErrInvalidRecord = errors.New("store: invalid record")
 
 // Namespace returns the namespace rooted at dir/<parts...>. The
 // directory is created lazily by the first PutJSON, so probing a
@@ -43,7 +52,39 @@ func (s *Store) Namespace(parts ...string) (*Namespace, error) {
 			return nil, err
 		}
 	}
-	return &Namespace{dir: filepath.Join(append([]string{s.dir}, parts...)...)}, nil
+	return &Namespace{
+		dir:       filepath.Join(append([]string{s.dir}, parts...)...),
+		snapshots: len(parts) == 1 && parts[0] == SnapshotsNamespace,
+	}, nil
+}
+
+// ContentType is the media type of the namespace's records.
+func (n *Namespace) ContentType() string {
+	if n.snapshots {
+		return "application/octet-stream"
+	}
+	return "application/json"
+}
+
+// ext is the file extension of the namespace's records.
+func (n *Namespace) ext() string {
+	if n.snapshots {
+		return ".snap"
+	}
+	return ".json"
+}
+
+// check reports whether data is a well-formed record to store as
+// name: a snapshot record that verifies and is addressed by name, or
+// valid JSON.
+func (n *Namespace) check(name string, data []byte) error {
+	if n.snapshots {
+		return checkSnapshotRecord(name, data)
+	}
+	if !json.Valid(data) {
+		return fmt.Errorf("not valid JSON")
+	}
+	return nil
 }
 
 // Dir returns the namespace's directory.
@@ -60,7 +101,7 @@ func validSegment(name string) error {
 }
 
 func (n *Namespace) path(name string) string {
-	return filepath.Join(n.dir, name+".json")
+	return filepath.Join(n.dir, name+n.ext())
 }
 
 // PutJSON atomically writes v as the record <name>.json, creating the
@@ -74,19 +115,20 @@ func (n *Namespace) PutJSON(name string, v any) error {
 	return n.PutRaw(name, data)
 }
 
-// PutRaw atomically writes data — which must be the json.Marshal bytes
-// of the record, exactly what PutJSON would have produced — as the
-// record <name>.json. It is the write half of the store proxy tier: a
+// PutRaw atomically writes data — which must be the record's stored
+// bytes, exactly what PutJSON or PutSnapshot would have produced — as
+// the record name. It is the write half of the store proxy tier: a
 // remote worker marshals a record once and ships the bytes, and the
-// coordinator-side write is byte-identical to a local PutJSON of the
+// coordinator-side write is byte-identical to a local write of the
 // same value, which is what keeps resumed campaigns indifferent to
-// where each trial ran. Data that is not valid JSON is rejected.
+// where each trial ran. Data that is not a well-formed record of the
+// namespace (see check) is rejected with ErrInvalidRecord.
 func (n *Namespace) PutRaw(name string, data []byte) error {
 	if err := validSegment(name); err != nil {
 		return err
 	}
-	if !json.Valid(data) {
-		return fmt.Errorf("store: namespace record %s: not valid JSON", name)
+	if err := n.check(name, data); err != nil {
+		return fmt.Errorf("%w %s: %v", ErrInvalidRecord, name, err)
 	}
 	if err := os.MkdirAll(n.dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -144,7 +186,7 @@ func (n *Namespace) GetRaw(name string) (data []byte, ok bool, err error) {
 }
 
 // Names lists the record names present in the namespace (without the
-// .json suffix), sorted. A namespace never written lists empty.
+// file extension), sorted. A namespace never written lists empty.
 // Leftover atomic-write temp files (a Put interrupted by a kill) are
 // swept here, mirroring Open's top-level sweep.
 func (n *Namespace) Names() ([]string, error) {
@@ -170,8 +212,8 @@ func (n *Namespace) Names() ([]string, error) {
 			}
 			continue
 		}
-		if strings.HasSuffix(name, ".json") {
-			out = append(out, strings.TrimSuffix(name, ".json"))
+		if strings.HasSuffix(name, n.ext()) {
+			out = append(out, strings.TrimSuffix(name, n.ext()))
 		}
 	}
 	sort.Strings(out)

@@ -248,13 +248,14 @@ func TestCorruptRecordsNeverServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(ns.Dir(), SnapshotKeyOf(snapKey)+".json")
+	path := filepath.Join(ns.Dir(), SnapshotKeyOf(snapKey)+".snap")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the embedded machine payload, keeping the JSON valid.
-	corrupt := []byte(string(data[:len(data)-2]) + " }")
+	// Corrupt the embedded machine payload, keeping the framing valid.
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)-1] ^= 1
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}

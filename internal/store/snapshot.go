@@ -1,9 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 )
 
@@ -18,27 +19,33 @@ import (
 // state depends on: the full spec key including the scheme, plus the
 // codec's format version — see campaign.warmKey). Like top-level run
 // records they are self-verifying: the record stores the sha256 of its
-// payload and Get refuses a record that does not reproduce it, so a
+// payload and a read refuses a record that does not reproduce it, so a
 // torn write or manual edit is surfaced as an error, never silently
 // restored into a machine.
+//
+// The payload is binary (machine.EncodeSnapshot), so the record is
+// too: the magic, the snapshot key as a uvarint length and its bytes,
+// the 32-byte sha256 of the payload, then the payload to the end.
+// Parsing copies only the key; a read scans the payload once, for the
+// hash.
 
 // SnapshotsNamespace is the namespace snapshot records live in —
 // exported so the store proxy's clients can address snapshot records
 // by path.
 const SnapshotsNamespace = "snapshots"
 
-// SnapshotRecord is the on-disk form of one serialized machine
-// snapshot.
+// snapshotRecordMagic opens every snapshot record.
+const snapshotRecordMagic = "RBSNREC1"
+
+// SnapshotRecord is one serialized machine snapshot as stored.
 type SnapshotRecord struct {
-	// Key is the content address: hex sha256 of SnapKey.
-	Key string `json:"key"`
-	// SnapKey is the caller's snapshot key, kept readable for audits.
-	SnapKey string `json:"snap_key"`
-	// Sum is the hex sha256 of Machine; Get verifies it.
-	Sum string `json:"sum"`
-	// Machine is the machine.EncodeSnapshot payload, embedded verbatim
-	// (it is already JSON).
-	Machine json.RawMessage `json:"machine"`
+	// SnapKey is the caller's snapshot key, kept readable for audits;
+	// the record's content address derives from it (Key).
+	SnapKey string
+	// Sum is the sha256 of Payload; Verify checks it.
+	Sum [sha256.Size]byte
+	// Payload is the machine.EncodeSnapshot payload.
+	Payload []byte
 }
 
 // SnapshotKeyOf returns the content address of a snapshot key.
@@ -48,31 +55,82 @@ func SnapshotKeyOf(snapKey string) string {
 }
 
 // NewSnapshotRecord builds the self-verifying record for a serialized
-// machine snapshot: the cluster's remote store client uses it to ship
-// snapshots to the coordinator in exactly the form PutSnapshot writes.
+// machine snapshot.
 func NewSnapshotRecord(snapKey string, payload []byte) *SnapshotRecord {
-	sum := sha256.Sum256(payload)
-	return &SnapshotRecord{
-		Key:     SnapshotKeyOf(snapKey),
-		SnapKey: snapKey,
-		Sum:     hex.EncodeToString(sum[:]),
-		Machine: json.RawMessage(payload),
-	}
+	return &SnapshotRecord{SnapKey: snapKey, Sum: sha256.Sum256(payload), Payload: payload}
 }
 
-// Verify checks the record's internal consistency: its address derives
-// from its snapshot key and the payload reproduces the stored hash. It
-// is the shared integrity bar for every path a snapshot record travels
-// — local disk, the store proxy, a remote worker's read.
-func (r *SnapshotRecord) Verify() error {
-	if want := SnapshotKeyOf(r.SnapKey); r.Key != want {
-		return fmt.Errorf("store: snapshot record %s does not match its key", r.Key)
+// Key returns the record's content address, the name it is stored
+// under.
+func (r *SnapshotRecord) Key() string { return SnapshotKeyOf(r.SnapKey) }
+
+// Marshal returns the record's stored bytes.
+func (r *SnapshotRecord) Marshal() []byte {
+	b := make([]byte, 0, len(snapshotRecordMagic)+binary.MaxVarintLen64+len(r.SnapKey)+sha256.Size+len(r.Payload))
+	b = append(b, snapshotRecordMagic...)
+	b = binary.AppendUvarint(b, uint64(len(r.SnapKey)))
+	b = append(b, r.SnapKey...)
+	b = append(b, r.Sum[:]...)
+	return append(b, r.Payload...)
+}
+
+// ParseSnapshotRecord reads a record's framing. The record's payload
+// shares data's storage. It does not check the hash: Verify does.
+func ParseSnapshotRecord(data []byte) (*SnapshotRecord, error) {
+	if !bytes.HasPrefix(data, []byte(snapshotRecordMagic)) {
+		return nil, fmt.Errorf("store: not a snapshot record")
 	}
-	sum := sha256.Sum256(r.Machine)
-	if r.Sum != hex.EncodeToString(sum[:]) {
-		return fmt.Errorf("store: snapshot record %s failed payload verification", r.Key)
+	b := data[len(snapshotRecordMagic):]
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) || uint64(len(b)-k)-n < sha256.Size {
+		return nil, fmt.Errorf("store: truncated snapshot record")
+	}
+	b = b[k:]
+	r := &SnapshotRecord{SnapKey: string(b[:n])}
+	b = b[n:]
+	copy(r.Sum[:], b)
+	r.Payload = b[sha256.Size:]
+	return r, nil
+}
+
+// Verify checks that the payload reproduces the stored hash. It is the
+// shared integrity bar for every path a snapshot record travels —
+// local disk, the store proxy, a remote worker's read.
+func (r *SnapshotRecord) Verify() error {
+	if sha256.Sum256(r.Payload) != r.Sum {
+		return fmt.Errorf("store: snapshot record %s failed payload verification", r.Key())
 	}
 	return nil
+}
+
+// checkSnapshotRecord is the snapshot namespace's write check: data
+// must parse, verify, and be stored under its own content address.
+func checkSnapshotRecord(name string, data []byte) error {
+	r, err := ParseSnapshotRecord(data)
+	if err != nil {
+		return err
+	}
+	if r.Key() != name {
+		return fmt.Errorf("store: snapshot record for key %q stored as %s", r.SnapKey, name)
+	}
+	return r.Verify()
+}
+
+// SnapshotPayload returns the verified payload of data, the stored
+// bytes of the snapshot record for snapKey: the record must parse,
+// carry snapKey and reproduce its own payload hash.
+func SnapshotPayload(data []byte, snapKey string) ([]byte, error) {
+	r, err := ParseSnapshotRecord(data)
+	if err != nil {
+		return nil, err
+	}
+	if r.SnapKey != snapKey {
+		return nil, fmt.Errorf("store: snapshot record %s does not match its key", SnapshotKeyOf(snapKey))
+	}
+	if err := r.Verify(); err != nil {
+		return nil, err
+	}
+	return r.Payload, nil
 }
 
 // SnapshotNamespace returns the store's snapshot namespace, shared by
@@ -89,30 +147,25 @@ func (s *Store) PutSnapshot(snapKey string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return ns.PutJSON(rec.Key, rec)
+	return ns.PutRaw(rec.Key(), rec.Marshal())
 }
 
 // GetSnapshot loads the serialized machine snapshot stored under
 // snapKey. ok is false when none exists; a record that exists but is
-// corrupt (fails to decode, addressed under a different key, or does
-// not reproduce its own payload hash) is returned as an error, never
-// as a payload.
+// corrupt (fails to parse, carries a different key, or does not
+// reproduce its own payload hash) is returned as an error, never as a
+// payload.
 func (s *Store) GetSnapshot(snapKey string) (payload []byte, ok bool, err error) {
 	ns, err := s.SnapshotNamespace()
 	if err != nil {
 		return nil, false, err
 	}
-	key := SnapshotKeyOf(snapKey)
-	var rec SnapshotRecord
-	ok, err = ns.GetJSON(key, &rec)
+	data, ok, err := ns.GetRaw(SnapshotKeyOf(snapKey))
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if rec.SnapKey != snapKey {
-		return nil, false, fmt.Errorf("store: snapshot record %s does not match its key", key)
-	}
-	if err := rec.Verify(); err != nil {
+	if payload, err = SnapshotPayload(data, snapKey); err != nil {
 		return nil, false, err
 	}
-	return rec.Machine, true, nil
+	return payload, true, nil
 }

@@ -167,22 +167,22 @@ func (s *Stream) Snapshot() State { return State{s: *s} }
 // Restore rewinds the stream to a snapshot (rollback).
 func (s *Stream) Restore(st State) { *s = st.s }
 
-// StateImage is the serializable form of a stream State: the dynamic
+// StateImage is the persisted form of a stream State: the dynamic
 // fields only. A stream's identity — which profile it reads, its core
 // and processor count, and the derived burst constants — is not
 // serialized; StateFromImage reconstructs it from the machine the image
 // is decoded into, so a persisted snapshot can never smuggle a stale
 // profile pointer into a live machine.
 type StateImage struct {
-	RNG          uint64 `json:"rng"`
-	Instrs       uint64 `json:"instrs"`
-	SinceBarrier uint64 `json:"since_barrier"`
-	SinceIO      uint64 `json:"since_io"`
-	BarrierID    uint64 `json:"barrier_id"`
-	CSRemaining  int    `json:"cs_remaining"`
-	CSLock       uint64 `json:"cs_lock"`
-	ColdCursor   uint64 `json:"cold_cursor"`
-	PendingMem   bool   `json:"pending_mem"`
+	RNG          uint64
+	Instrs       uint64
+	SinceBarrier uint64
+	SinceIO      uint64
+	BarrierID    uint64
+	CSRemaining  int
+	CSLock       uint64
+	ColdCursor   uint64
+	PendingMem   bool
 }
 
 // Image extracts the serializable dynamic state of a captured State.
