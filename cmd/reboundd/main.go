@@ -34,9 +34,11 @@
 // shared machine snapshot through the coordinator's store proxy, and
 // push every trial/cell record back through it — so the records and
 // the final report on the coordinator's disk are byte-identical to a
-// single-node run. The coordinator runs one in-process worker, so it
-// makes progress with zero remote workers; -role single (the default)
-// is the classic one-node daemon.
+// single-node run. Every daemon runs sweeps, campaigns and
+// explorations through the same coordinator and one in-process worker,
+// so it makes progress with zero remote workers; -role single (the
+// default) is a coordinator that mounts no cluster routes and so takes
+// no remote workers.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: in-flight requests
 // finish (bounded by -drain), new ones are refused. A worker drains by
@@ -74,10 +76,10 @@ func main() {
 		scaleName  = flag.String("scale", "full", "default experiment scale: quick|full")
 		queueDepth = flag.Int("queue", 64, "max jobs waiting for a worker before 503")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
-		role       = flag.String("role", "single", "cluster role: single|coordinator|worker")
+		role       = flag.String("role", "single", "cluster role: single (no cluster routes, no remote workers) | coordinator (serves the routes remote workers join) | worker")
 		join       = flag.String("join", "", "coordinator URL to join (role worker)")
 		name       = flag.String("name", "", "worker label (role worker; default hostname)")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "cluster lease TTL (role coordinator; 0 = 15s)")
+		leaseTTL   = flag.Duration("lease-ttl", 0, "cluster lease TTL (roles single and coordinator; 0 = 15s)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address, e.g. 127.0.0.1:6060 (empty = off)")
 	)
 	flag.Parse()
@@ -135,11 +137,9 @@ func main() {
 	}
 
 	log.Printf("reboundd: shutting down (drain %s)", *drain)
-	if *role == "coordinator" {
-		// Finish the in-process worker's current lease before refusing
-		// requests: pushed records persist, so nothing is lost either way.
-		svc.DrainCluster()
-	}
+	// Finish the in-process worker's current lease before refusing
+	// requests: pushed records persist, so nothing is lost either way.
+	svc.DrainCluster()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {

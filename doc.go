@@ -82,8 +82,10 @@
 // byte-identical no matter which node computed them, and a worker
 // killed mid-lease costs only the re-issue of its unpushed units (the
 // pushed ones are recognized in the store at lease expiry, never
-// re-run). The coordinator runs one in-process worker, so a cluster of
-// one node completes every job; internal/retry supplies the capped,
+// re-run). Every reboundd runs sweeps, campaigns and explorations
+// through the coordinator and one in-process worker, so a cluster of
+// one node (the default -role single, which mounts no cluster routes)
+// completes every job; internal/retry supplies the capped,
 // deterministically-jittered backoff that all cluster transport rides
 // on, and cmd/campaign -server submits and polls a campaign against
 // either deployment shape.

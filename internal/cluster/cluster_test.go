@@ -6,8 +6,11 @@ package cluster
 // the same machinery over HTTP.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,5 +231,163 @@ func TestLeaseExpiryRecoversPushedWork(t *testing.T) {
 	}
 	if rep.Trials != spec.Trials || rep.VerifiedOK != spec.Trials {
 		t.Fatalf("report verified %d/%d", rep.VerifiedOK, rep.Trials)
+	}
+}
+
+// TestWorkerDropsRunnersWhenIdle: the idle lease reply that ends a
+// worker's last job also empties its TrialRunner cache, so a finished
+// campaign's warmed machines are not pinned in memory. A resubmitted
+// campaign of the same spec is answered from the store and runs no
+// trial.
+func TestWorkerDropsRunnersWhenIdle(t *testing.T) {
+	st := openStore(t)
+	c, err := New(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(2, 5)
+	j, err := c.SubmitCampaign(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newDirectWorker(t, c, st, "idle")
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	<-j.Done()
+	if err := j.Err(); err != nil {
+		t.Fatal(err)
+	}
+	cachedRunners := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.runners) + len(w.order)
+	}
+	if trials, _, _ := w.Stats(); trials != int64(spec.Trials) {
+		t.Fatalf("worker ran %d trials, want %d", trials, spec.Trials)
+	}
+	if n := cachedRunners(); n != 0 {
+		t.Fatalf("worker holds %d cached runners after the idle reply, want 0", n)
+	}
+
+	ns, err := campaign.TrialNamespace(st, j.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, ok, err := ns.GetRaw(campaign.ReportRecordName)
+	if err != nil || !ok {
+		t.Fatalf("no report stored: ok=%v err=%v", ok, err)
+	}
+	again, err := c.SubmitCampaign(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-again.Done():
+	default:
+		t.Fatal("resubmitted campaign is not done at submission")
+	}
+	if err := again.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker (resubmit): %v", err)
+	}
+	if trials, _, _ := w.Stats(); trials != int64(spec.Trials) {
+		t.Fatalf("resubmit ran %d more trials, want 0", trials-int64(spec.Trials))
+	}
+	if n := cachedRunners(); n != 0 {
+		t.Fatalf("resubmit built %d runners, want 0", n)
+	}
+	if after, _, _ := ns.GetRaw(campaign.ReportRecordName); !bytes.Equal(after, report) {
+		t.Fatal("resubmit rewrote the stored report")
+	}
+}
+
+// TestPanickingTrialFailsJob: a trial that panics on every attempt
+// fails its campaign job after MaxUnitFailures reports, so the worker
+// goes idle instead of re-running the trial forever. The spec is valid
+// but its scale has a zero detection latency, which panics in fault
+// injection.
+func TestPanickingTrialFailsJob(t *testing.T) {
+	st := openStore(t)
+	c, err := New(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(2, 3)
+	spec.Base.Scale.DetectLatency = 0
+	spec.Window = 0
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.SubmitCampaign(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newDirectWorker(t, c, st, "panicky")
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(context.Background()) }()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("worker still running a campaign whose trials always panic")
+	}
+	<-j.Done()
+	err = j.Err()
+	if err == nil || !strings.Contains(err.Error(), "panic") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("failed %d times", MaxUnitFailures)) {
+		t.Fatalf("job error = %v, want the trial's panic after %d failures", err, MaxUnitFailures)
+	}
+	if n := c.Jobs(); n != 0 {
+		t.Fatalf("%d jobs in flight after the failure, want 0", n)
+	}
+	if trials, _, _ := w.Stats(); trials != 0 {
+		t.Fatalf("worker completed %d trials, want 0", trials)
+	}
+}
+
+// TestUnitFailuresBelowLimitReLease: a failure report returns its unit
+// to the pool until the unit has failed MaxUnitFailures times, and only
+// then fails the job.
+func TestUnitFailuresBelowLimitReLease(t *testing.T) {
+	st := openStore(t)
+	c, err := New(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := harness.Spec{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: harness.Quick}
+	j, err := c.SubmitSweep([]harness.Spec{cell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wid := c.Join(JoinRequest{Name: "fake"}).WorkerID
+	key := store.KeyOf(cell)
+	for attempt := 1; attempt <= MaxUnitFailures; attempt++ {
+		resp := c.Lease(LeaseRequest{WorkerID: wid})
+		if resp.Lease == nil || len(resp.Lease.Specs) != 1 {
+			t.Fatalf("attempt %d: no lease for the failed cell: %+v", attempt, resp)
+		}
+		c.Complete(CompleteRequest{WorkerID: wid, LeaseID: resp.Lease.ID, Job: resp.Lease.Job,
+			Failed: []UnitFailure{{Key: key, Err: "boom"}}})
+		select {
+		case <-j.Done():
+			if attempt < MaxUnitFailures {
+				t.Fatalf("job finished after %d failures, want %d", attempt, MaxUnitFailures)
+			}
+		default:
+			if attempt == MaxUnitFailures {
+				t.Fatalf("job still running after %d failures", attempt)
+			}
+		}
+	}
+	if err := j.Err(); err == nil || !strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("job error = %v, want the cell's key and its error", err)
+	}
+	if resp := c.Lease(LeaseRequest{WorkerID: wid}); resp.Lease != nil || !resp.Idle {
+		t.Fatalf("lease after the job failed: %+v, want idle", resp)
 	}
 }

@@ -38,6 +38,12 @@ const (
 	unitDone
 )
 
+// MaxUnitFailures is how many failure reports one unit may collect
+// before its job fails with the last one. A unit's simulation is a
+// pure function of the unit, so a failure that repeats is final; the
+// retries absorb a failed push or snapshot load on a remote worker.
+const MaxUnitFailures = 3
+
 // Job is one submitted campaign or sweep, tracked unit by unit. The
 // submitter waits on Done; progress and the final error are readable
 // any time after.
@@ -57,6 +63,7 @@ type Job struct {
 	mu    sync.Mutex
 	state []uint8
 	done  int
+	fails map[int]int // failure reports per unit
 
 	finishOnce sync.Once
 	finished   chan struct{}
@@ -67,8 +74,8 @@ type Job struct {
 // sweep's derived key.
 func (j *Job) Key() string { return j.key }
 
-// Done is closed when every unit is complete (or the finish step
-// failed; check Err).
+// Done is closed when every unit is complete, when a unit failed
+// MaxUnitFailures times, or when the finish step failed; check Err.
 func (j *Job) Done() <-chan struct{} { return j.finished }
 
 // Err reports the terminal error, valid after Done is closed.
@@ -211,12 +218,9 @@ func (c *Coordinator) SubmitCampaign(spec campaign.Spec, onProgress func(done, t
 		return nil, err
 	}
 
-	c.mu.Lock()
-	if j, ok := c.jobs[key]; ok {
-		c.mu.Unlock()
+	if j := c.job(key); j != nil {
 		return j, nil
 	}
-	c.mu.Unlock()
 
 	// Scan the store for already-valid trials outside the lock: disk
 	// reads must not stall lease traffic.
@@ -244,51 +248,60 @@ func (c *Coordinator) SubmitCampaign(spec campaign.Spec, onProgress func(done, t
 // returns its Job. Cells whose records are already stored are counted
 // done. Duplicate specs collapse into one unit.
 func (c *Coordinator) SubmitSweep(specs []harness.Spec) (*Job, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("cluster: sweep with no cells")
+	j, err := sweepJob(specs)
+	if err != nil {
+		return nil, err
 	}
-	var cells []harness.Spec
-	var cellKeys []string
-	byKey := make(map[string]int)
-	h := sha256.New()
-	for _, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		key := store.KeyOf(spec)
-		if _, dup := byKey[key]; dup {
-			continue
-		}
-		byKey[key] = len(cells)
-		cells = append(cells, spec)
-		cellKeys = append(cellKeys, key)
-		fmt.Fprintf(h, "%s\n", key)
+	if existing := c.job(j.key); existing != nil {
+		return existing, nil
 	}
-	key := "sweep-" + hex.EncodeToString(h.Sum(nil))
-
-	c.mu.Lock()
-	if j, ok := c.jobs[key]; ok {
-		c.mu.Unlock()
-		return j, nil
-	}
-	c.mu.Unlock()
-
-	j := &Job{
-		key:      key,
-		kind:     KindSweep,
-		specs:    cells,
-		cellKeys: cellKeys,
-		byKey:    byKey,
-		state:    make([]uint8, len(cells)),
-		finished: make(chan struct{}),
-	}
-	for i, ck := range cellKeys {
+	for i, ck := range j.cellKeys {
 		if c.cfg.Store.Has(ck) {
 			j.state[i] = unitDone
 			j.done++
 		}
 	}
 	return c.install(j)
+}
+
+// SweepInFlight reports whether a sweep over specs would join a job
+// already in flight rather than start one.
+func (c *Coordinator) SweepInFlight(specs []harness.Spec) bool {
+	j, err := sweepJob(specs)
+	return err == nil && c.job(j.key) != nil
+}
+
+// sweepJob builds the unsubmitted job of a sweep: its validated,
+// deduplicated cells and the key derived from them.
+func sweepJob(specs []harness.Spec) (*Job, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("cluster: sweep with no cells")
+	}
+	j := &Job{kind: KindSweep, byKey: make(map[string]int), finished: make(chan struct{})}
+	h := sha256.New()
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		key := store.KeyOf(spec)
+		if _, dup := j.byKey[key]; dup {
+			continue
+		}
+		j.byKey[key] = len(j.specs)
+		j.specs = append(j.specs, spec)
+		j.cellKeys = append(j.cellKeys, key)
+		fmt.Fprintf(h, "%s\n", key)
+	}
+	j.key = "sweep-" + hex.EncodeToString(h.Sum(nil))
+	j.state = make([]uint8, len(j.specs))
+	return j, nil
+}
+
+// job returns the in-flight job under key, or nil.
+func (c *Coordinator) job(key string) *Job {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.jobs[key]
 }
 
 // install publishes a prepared job, resolving the race where two
@@ -305,7 +318,7 @@ func (c *Coordinator) install(j *Job) (*Job, error) {
 	complete := j.done == len(j.state)
 	c.mu.Unlock()
 	if complete {
-		c.finishJob(j)
+		c.finishJob(j, nil)
 	}
 	return j, nil
 }
@@ -459,7 +472,8 @@ func (c *Coordinator) leasePayload(l *lease) *Lease {
 // the worker pushed is present and authentic — and the lease is
 // released. Claims for units another worker already completed are
 // skipped (idempotent retries); claims whose record is missing or
-// invalid return the unit to the pool. An expired or unknown lease ID
+// invalid return the unit to the pool, and so do reported failures,
+// each counted against MaxUnitFailures. An expired or unknown lease ID
 // is not an error: the claims are validated against the job directly,
 // so work finished just past its deadline still counts.
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
@@ -552,8 +566,40 @@ func (c *Coordinator) settle(j *Job, req CompleteRequest) int {
 			}
 		}
 	}
+	for _, f := range req.Failed {
+		if err := c.countFailure(j, f); err != nil {
+			c.finishJob(j, err)
+			return accepted
+		}
+	}
 	c.maybeFinish(j)
 	return accepted
+}
+
+// countFailure counts one failure report against its unit and returns
+// the job's terminal error once the unit has failed MaxUnitFailures
+// times. A report for a unit already done, or for no unit of j, is
+// ignored.
+func (c *Coordinator) countFailure(j *Job, f UnitFailure) error {
+	u, ok := f.Index, f.Index >= 0 && f.Index < len(j.state)
+	name := fmt.Sprintf("trial %d", f.Index)
+	if j.kind == KindSweep {
+		u, ok = j.byKey[f.Key]
+		name = "cell " + f.Key
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !ok || j.state[u] == unitDone {
+		return nil
+	}
+	if j.fails == nil {
+		j.fails = make(map[int]int)
+	}
+	j.fails[u]++
+	if j.fails[u] < MaxUnitFailures {
+		return nil
+	}
+	return fmt.Errorf("cluster: %s %s failed %d times: %s", j.kind, name, j.fails[u], f.Err)
 }
 
 // unitDoneOrValid loads and validates the stored trial record of unit
@@ -677,22 +723,22 @@ func (c *Coordinator) maybeFinish(j *Job) {
 	complete := j.done == len(j.state)
 	j.mu.Unlock()
 	if complete {
-		c.finishJob(j)
+		c.finishJob(j, nil)
 	}
 }
 
-// finishJob runs a completed job's finish step exactly once: a
-// campaign loads its full trial set from the store, assembles the
-// Report through campaign.Assemble — the same aggregation local
-// execution uses, so the persisted Report is byte-identical to a
-// 1-node run — and persists it under the campaign's report record. A
-// sweep's records are already in the store, so there is nothing to
-// write. The job is then retired from the scheduling order and Done is
-// closed.
-func (c *Coordinator) finishJob(j *Job) {
+// finishJob runs a job's finish step exactly once. A failed job (err
+// non-nil) just records err. A completed campaign loads its full trial
+// set from the store, assembles the Report through campaign.Assemble —
+// the same aggregation local execution uses, so the persisted Report
+// is byte-identical to a 1-node run — and persists it under the
+// campaign's report record. A sweep's records are already in the
+// store, so there is nothing to write. The job is then retired from
+// the scheduling order and Done is closed; a later submission of its
+// key starts a fresh job.
+func (c *Coordinator) finishJob(j *Job, err error) {
 	j.finishOnce.Do(func() {
-		var err error
-		if j.kind == KindCampaign {
+		if err == nil && j.kind == KindCampaign {
 			err = c.assembleReport(j)
 		}
 		j.mu.Lock()

@@ -21,7 +21,9 @@
 // Lease semantics: a lease is a TTL-bounded claim on a set of trial
 // indices (campaign) or cells (sweep). Heartbeats extend it; a worker
 // that crashes or partitions simply stops heartbeating, and the
-// coordinator reclaims the lease lazily and re-issues its units.
+// coordinator reclaims the lease lazily and re-issues its units. A
+// unit whose run or push fails is reported with its lease and
+// re-issued too, until MaxUnitFailures reports fail its job.
 // Retries are free by construction: every unit's record is
 // content-addressed and validated on completion (campaign trials
 // self-identify via index + derived seed, sweep records via their spec
@@ -108,6 +110,17 @@ type CompleteRequest struct {
 	Indices []int `json:"indices,omitempty"`
 	// Keys are the store record keys completed (Kind sweep).
 	Keys []string `json:"keys,omitempty"`
+	// Failed reports the leased units whose run or push failed. The
+	// coordinator leases such a unit again, and fails its job once the
+	// unit has failed MaxUnitFailures times.
+	Failed []UnitFailure `json:"failed,omitempty"`
+}
+
+// UnitFailure names one failed unit of a lease and why it failed.
+type UnitFailure struct {
+	Index int    `json:"index,omitempty"` // campaign trial index
+	Key   string `json:"key,omitempty"`   // sweep record key
+	Err   string `json:"err"`
 }
 
 // CompleteResponse reports how many claimed units were accepted (a
@@ -130,7 +143,7 @@ type HeartbeatResponse struct {
 
 // Protocol is the coordinator as a worker sees it. HTTPProtocol speaks
 // it over the wire; Direct binds it straight to an in-process
-// Coordinator (the coordinator daemon runs its own worker that way, so
+// Coordinator (every reboundd runs its own worker that way, so
 // a cluster of one still makes progress).
 type Protocol interface {
 	Join(ctx context.Context, req JoinRequest) (JoinResponse, error)

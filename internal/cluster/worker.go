@@ -99,18 +99,19 @@ type WorkerConfig struct {
 	// Poll overrides the coordinator's idle-poll hint; 0 obeys it.
 	Poll time.Duration
 	// ExitOnIdle makes Run return nil when the coordinator reports no
-	// jobs at all — the in-process worker of a coordinator daemon uses
+	// jobs at all — the in-process worker of every reboundd uses
 	// it to release the local execution slots between jobs.
 	ExitOnIdle bool
 	// Logf, if set, observes worker-side failures (a trial that
 	// panicked, a push that exhausted its retries). The worker carries
-	// on: failed units simply return to the pool at lease expiry.
+	// on and reports the failed units with their lease.
 	Logf func(format string, args ...any)
 }
 
 // maxCachedRunners bounds the per-campaign TrialRunner cache: each
 // holds a warmed machine pool, so an unbounded map would pin every
-// campaign the worker ever touched in memory.
+// campaign the worker ever touched in memory. Run also empties the
+// cache whenever the coordinator reports no jobs at all.
 const maxCachedRunners = 4
 
 // Worker is the pull side of the cluster: it joins a coordinator,
@@ -222,8 +223,13 @@ func (w *Worker) Run(ctx context.Context) error {
 			return fmt.Errorf("cluster: lease: %w", err)
 		}
 		if resp.Lease == nil {
-			if resp.Idle && w.cfg.ExitOnIdle {
-				return nil
+			if resp.Idle {
+				// No job anywhere: the cached runners' warmed machines
+				// would only pin memory until the next campaign.
+				w.dropRunners()
+				if w.cfg.ExitOnIdle {
+					return nil
+				}
 			}
 			wait := w.cfg.Poll
 			if wait <= 0 {
@@ -245,18 +251,23 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// execute runs one lease's units and reports the completions. Units
-// that failed (panicked trial, exhausted push) are simply left out of
-// the claim: Complete returns them to the pool immediately.
+// execute runs one lease's units and reports the completions and the
+// failures (panicked trial, exhausted push); the coordinator returns
+// both the failed and the unreported units to the pool. A worker
+// stopped mid-lease reports no failures: its units were cut short, not
+// failed.
 func (w *Worker) execute(ctx context.Context, l *Lease) {
 	req := CompleteRequest{WorkerID: w.ID(), LeaseID: l.ID, Job: l.Job}
 	switch l.Kind {
 	case KindCampaign:
-		req.Indices = w.runCampaignLease(ctx, l)
+		req.Indices, req.Failed = w.runCampaignLease(ctx, l)
 	case KindSweep:
-		req.Keys = w.runSweepLease(ctx, l)
+		req.Keys, req.Failed = w.runSweepLease(ctx, l)
 	default:
 		w.logf("cluster: lease %d: unknown kind %q", l.ID, l.Kind)
+	}
+	if ctx.Err() != nil {
+		req.Failed = nil
 	}
 	if _, err := w.cfg.Proto.Complete(ctx, req); err != nil {
 		// The records are already pushed; the coordinator's reaper will
@@ -269,36 +280,37 @@ func (w *Worker) execute(ctx context.Context, l *Lease) {
 
 // runCampaignLease fans the leased trial indices across the runner
 // pool: restore-from-snapshot, run, push. Returns the indices whose
-// records were pushed successfully, sorted.
-func (w *Worker) runCampaignLease(ctx context.Context, l *Lease) []int {
+// records were pushed successfully, sorted, and the failed ones.
+func (w *Worker) runCampaignLease(ctx context.Context, l *Lease) (done []int, failed []UnitFailure) {
 	if l.Campaign == nil {
 		w.logf("cluster: lease %d: campaign lease without a spec", l.ID)
-		return nil
+		return nil, nil
 	}
 	spec := *l.Campaign
 	key := campaign.KeyOf(spec)
 	runner := w.runnerFor(key, spec)
 
 	var mu sync.Mutex
-	var done []int
 	w.cfg.Runner.FanOut(ctx, len(l.Indices), func(j int) {
 		i := l.Indices[j]
 		tr, err := w.runTrial(runner, i)
+		if err == nil {
+			if err = w.cfg.Tier.PutTrial(key, i, &tr); err != nil {
+				err = fmt.Errorf("push: %w", err)
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
 		if err != nil {
 			w.logf("cluster: trial %d of %s: %v", i, key, err)
-			return
-		}
-		if err := w.cfg.Tier.PutTrial(key, i, &tr); err != nil {
-			w.logf("cluster: push trial %d of %s: %v", i, key, err)
+			failed = append(failed, UnitFailure{Index: i, Err: err.Error()})
 			return
 		}
 		w.trialsDone.Add(1)
-		mu.Lock()
 		done = append(done, i)
-		mu.Unlock()
 	})
 	sort.Ints(done)
-	return done
+	return done, failed
 }
 
 // runTrial executes one trial, containing simulator panics the way the
@@ -313,29 +325,31 @@ func (w *Worker) runTrial(runner *campaign.TrialRunner, i int) (tr campaign.Tria
 }
 
 // runSweepLease runs the leased sweep cells and pushes their records.
-// Returns the record keys pushed successfully, sorted.
-func (w *Worker) runSweepLease(ctx context.Context, l *Lease) []string {
+// Returns the record keys pushed successfully, sorted, and the failed
+// cells.
+func (w *Worker) runSweepLease(ctx context.Context, l *Lease) (keys []string, failed []UnitFailure) {
 	var mu sync.Mutex
-	var keys []string
 	w.cfg.Runner.FanOut(ctx, len(l.Specs), func(j int) {
 		spec := l.Specs[j]
 		res, err := w.cfg.Runner.RunOne(ctx, spec)
-		if err != nil {
-			w.logf("cluster: cell %s: %v", spec.Key(), err)
-			return
+		if err == nil {
+			if err = w.cfg.Tier.PutRecord(store.FromResult(res)); err != nil {
+				err = fmt.Errorf("push: %w", err)
+			}
 		}
-		rec := store.FromResult(res)
-		if err := w.cfg.Tier.PutRecord(rec); err != nil {
-			w.logf("cluster: push cell %s: %v", rec.Key, err)
+		key := store.KeyOf(spec)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			w.logf("cluster: cell %s: %v", key, err)
+			failed = append(failed, UnitFailure{Key: key, Err: err.Error()})
 			return
 		}
 		w.cellsDone.Add(1)
-		mu.Lock()
-		keys = append(keys, rec.Key)
-		mu.Unlock()
+		keys = append(keys, key)
 	})
 	sort.Strings(keys)
-	return keys
+	return keys, failed
 }
 
 // runnerFor returns the cached TrialRunner of a campaign, creating it
@@ -355,6 +369,14 @@ func (w *Worker) runnerFor(key string, spec campaign.Spec) *campaign.TrialRunner
 	w.runners[key] = r
 	w.order = append(w.order, key)
 	return r
+}
+
+// dropRunners empties the TrialRunner cache.
+func (w *Worker) dropRunners() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	clear(w.runners)
+	w.order = w.order[:0]
 }
 
 // heartbeatLoop renews the worker's leases at a third of the TTL.

@@ -90,6 +90,10 @@ type Log struct {
 	// unconditionally.
 	pidDirty []bool
 	lkDirty  cow.Dirty
+
+	// undo is Rollback's scratch list of undone entries, reused across
+	// rollbacks.
+	undo []Entry
 }
 
 // NewLog returns a log banked banks ways with its own line table.
@@ -213,7 +217,7 @@ func (l *Log) Stub(at sim.Cycle) {
 func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word)) uint64 {
 	// Collect the undone entries of every target processor, compacting
 	// each per-processor list in place.
-	var undo []Entry
+	l.undo = l.undo[:0]
 	for pid, ep := range target {
 		if pid < 0 || pid >= len(l.perPID) {
 			continue
@@ -221,7 +225,7 @@ func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word
 		keep := l.perPID[pid][:0]
 		for _, e := range l.perPID[pid] {
 			if e.Epoch >= ep {
-				undo = append(undo, e)
+				l.undo = append(l.undo, e)
 			} else {
 				keep = append(keep, e)
 			}
@@ -233,8 +237,8 @@ func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word
 		}
 	}
 	// Reverse global order across the whole set.
-	slices.SortFunc(undo, func(a, b Entry) int { return cmp.Compare(b.Seq, a.Seq) })
-	for _, e := range undo {
+	slices.SortFunc(l.undo, func(a, b Entry) int { return cmp.Compare(b.Seq, a.Seq) })
+	for _, e := range l.undo {
 		restore(e.Line, e.Old)
 		// Invalidate the first-writeback key so a re-executed interval
 		// logs afresh.
@@ -244,8 +248,8 @@ func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word
 			l.lkDirty.Mark(int(id))
 		}
 	}
-	l.total -= len(undo)
-	return uint64(len(undo))
+	l.total -= len(l.undo)
+	return uint64(len(l.undo))
 }
 
 // Truncate discards entries older than the given per-processor safe

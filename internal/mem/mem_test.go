@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -291,4 +293,72 @@ func sameState(a, b map[uint64]Word) bool {
 		}
 	}
 	return true
+}
+
+// TestRollbackMatchesSortedOrder checks Rollback's restore order
+// against every undone entry of the target set, collected from the
+// per-processor lists and sorted by descending Seq. The generated logs
+// tag each writeback with a random epoch, so a processor's list is not
+// epoch-monotone and its undone entries are scattered through it, and
+// one log takes many rollbacks, so the reused undo scratch is
+// exercised.
+func TestRollbackMatchesSortedOrder(t *testing.T) {
+	type undone struct {
+		line uint64
+		old  Word
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := sim.NewRNG(seed)
+		procs := 1 + rng.Intn(8)
+		l := NewLog(stats.New(procs), 4)
+		l.AlwaysLog = seed%2 == 0
+		for step := 0; step < 60; step++ {
+			for i := rng.Intn(200); i > 0; i-- {
+				l.Append(rng.Intn(procs), uint64(rng.Intn(6)), uint64(rng.Intn(64)),
+					Word{Val: rng.Next()}, sim.Cycle(step))
+			}
+			target := make(map[int]uint64)
+			for pid := 0; pid < procs+1; pid++ { // procs: a processor with no list
+				if rng.Intn(3) > 0 {
+					target[pid] = uint64(rng.Intn(6))
+				}
+			}
+
+			var want []Entry
+			for pid, ep := range target {
+				if pid < len(l.perPID) {
+					for _, e := range l.perPID[pid] {
+						if e.Epoch >= ep {
+							want = append(want, e)
+						}
+					}
+				}
+			}
+			slices.SortFunc(want, func(a, b Entry) int { return cmp.Compare(b.Seq, a.Seq) })
+			before := l.Len()
+
+			var got []undone
+			n := l.Rollback(target, func(line uint64, old Word) { got = append(got, undone{line, old}) })
+			if int(n) != len(want) || len(got) != len(want) || l.Len() != before-len(want) {
+				t.Fatalf("seed %d step %d: restored %d (%d calls), want %d; log %d -> %d",
+					seed, step, n, len(got), len(want), before, l.Len())
+			}
+			for i, e := range want {
+				if got[i] != (undone{e.Line, e.Old}) {
+					t.Fatalf("seed %d step %d: restore %d is line %d, want seq %d line %d",
+						seed, step, i, got[i].line, e.Seq, e.Line)
+				}
+			}
+			for pid, ep := range target {
+				if pid < len(l.perPID) {
+					for _, e := range l.perPID[pid] {
+						if e.Epoch >= ep {
+							t.Fatalf("seed %d step %d: entry seq %d survived the rollback", seed, step, e.Seq)
+						}
+					}
+				}
+			}
+			l.CheckInvariants()
+		}
+	}
 }

@@ -2,15 +2,14 @@ package service
 
 // The fault-campaign job kind: POST /v1/campaigns and GET
 // /v1/campaigns/{key}, with the lifecycle every background job shares
-// (jobs.go). A campaign's units are its trials. Per-trial records and
-// the report persist through the same content-addressed store as run
-// records, so a daemon killed mid-campaign resumes from its completed
-// trials. Progress is also visible in /metrics (campaigns_running,
-// campaign_trials_done).
+// (jobs.go). A campaign's units are its trials, sharded across the
+// in-process worker and any remote workers by the cluster coordinator.
+// Per-trial records and the report persist through the same
+// content-addressed store as run records, so a daemon killed
+// mid-campaign resumes from its completed trials. Progress is also
+// visible in /metrics (campaigns_running, campaign_trials_done).
 
 import (
-	"context"
-
 	"repro/internal/campaign"
 	"repro/internal/harness"
 )
@@ -50,22 +49,11 @@ type CampaignResponse = JobResponse[campaign.Report]
 func (s *Server) campaignKind() *jobKind[CampaignRequest, campaign.Spec, campaign.Report] {
 	return &jobKind[CampaignRequest, campaign.Spec, campaign.Report]{
 		s: s, path: "/v1/campaigns", noun: "campaign",
-		keyOf: campaign.KeyOf,
-		load:  s.loader.LoadReport,
-		start: func(spec campaign.Spec) int { return spec.Trials },
-		total: func(rep *campaign.Report) int { return rep.Trials },
-		run: func(spec campaign.Spec, onProgress func(done, total int)) (*campaign.Report, error) {
-			if s.coord != nil {
-				// Coordinator role: the cluster shards the trials across
-				// the in-process worker and any remote workers; the report
-				// the coordinator assembles from their records is
-				// byte-identical to a local run's.
-				return s.clusterCampaign(spec, onProgress)
-			}
-			eng := campaign.New(s.cfg.Runner, s.cfg.Store)
-			eng.OnProgress = onProgress
-			return eng.Run(context.Background(), spec)
-		},
+		keyOf:   campaign.KeyOf,
+		load:    s.loader.LoadReport,
+		start:   func(spec campaign.Spec) int { return spec.Trials },
+		total:   func(rep *campaign.Report) int { return rep.Trials },
+		run:     s.clusterCampaign,
 		started: &s.campaignsTotal, running: &s.campaignsRunning, unitsDone: &s.campaignTrialsDone,
 	}
 }

@@ -1,7 +1,13 @@
 package service
 
-// Distributed mode. With Config.Role == RoleCoordinator the server
-// grows the cluster surface on top of the unchanged public API:
+// The cluster coordinator. Every sweep, campaign and exploration the
+// server accepts is a coordinator job, partitioned into leases. The
+// server always runs one in-process worker (cluster.Direct + LocalTier
+// on the shared store), so a server with no remote workers still
+// completes every job: that is RoleSingle, a coordinator whose fleet is
+// its own worker. With Config.Role == RoleCoordinator the server also
+// mounts the cluster surface remote workers join through, on top of
+// the unchanged public API:
 //
 //	POST /v1/cluster/join        worker registration
 //	POST /v1/cluster/lease       work-stealing lease pull
@@ -11,12 +17,7 @@ package service
 //	PUT  /v1/store/ns/{path...}  store proxy: raw namespace records
 //	PUT  /v1/store/runs/{key}    store proxy: one verified run record
 //
-// Sweeps and campaigns submitted to /v1/sweeps and /v1/campaigns are
-// partitioned into leases by the cluster coordinator instead of running
-// on the request path; remote workers pull them over the endpoints
-// above. The coordinator process also runs one in-process worker
-// (cluster.Direct + LocalTier on the shared store), so a cluster of
-// one node still completes every job — remote workers only add
+// Remote workers pull leases over the endpoints above and only add
 // capacity. Because every worker pushes records through the same
 // content-addressed store writes the local engine uses, the stored
 // sweeps, trials and reports are byte-identical no matter which node
@@ -48,33 +49,29 @@ const (
 // trial records are kilobytes.
 const maxStoreBodyBytes = 512 << 20
 
-// initCluster wires the coordinator role: the cluster coordinator, its
-// HTTP surface, and the in-process worker. No-op for RoleSingle.
+// initCluster builds the cluster coordinator and starts the
+// in-process worker; in RoleCoordinator it also mounts the cluster
+// protocol and store-proxy routes.
 func (s *Server) initCluster() error {
-	switch s.cfg.Role {
-	case "", RoleSingle:
-		return nil
-	case RoleCoordinator:
-	default:
-		return fmt.Errorf("service: unknown role %q", s.cfg.Role)
-	}
 	coord, err := cluster.New(cluster.Config{Store: s.cfg.Store, LeaseTTL: s.cfg.LeaseTTL})
 	if err != nil {
 		return err
 	}
 	s.coord = coord
 
-	s.mux.HandleFunc("POST /v1/cluster/join", clusterCall(coord.Join))
-	s.mux.HandleFunc("POST /v1/cluster/lease", s.handleClusterLease)
-	s.mux.HandleFunc("POST /v1/cluster/complete", clusterCall(coord.Complete))
-	s.mux.HandleFunc("POST /v1/cluster/heartbeat", clusterCall(coord.Heartbeat))
-	s.mux.HandleFunc("GET /v1/store/ns/{path...}", s.handleStoreNSGet)
-	s.mux.HandleFunc("PUT /v1/store/ns/{path...}", s.handleStoreNSPut)
-	s.mux.HandleFunc("PUT /v1/store/runs/{key}", s.handleStoreRunPut)
+	if s.cfg.Role == RoleCoordinator {
+		s.mux.HandleFunc("POST /v1/cluster/join", clusterCall(coord.Join))
+		s.mux.HandleFunc("POST /v1/cluster/lease", s.handleClusterLease)
+		s.mux.HandleFunc("POST /v1/cluster/complete", clusterCall(coord.Complete))
+		s.mux.HandleFunc("POST /v1/cluster/heartbeat", clusterCall(coord.Heartbeat))
+		s.mux.HandleFunc("GET /v1/store/ns/{path...}", s.handleStoreNSGet)
+		s.mux.HandleFunc("PUT /v1/store/ns/{path...}", s.handleStoreNSPut)
+		s.mux.HandleFunc("PUT /v1/store/runs/{key}", s.handleStoreRunPut)
+	}
 
 	// The in-process worker: the coordinator's own share of the fleet.
 	// It executes leases on the server's runner through the local store
-	// tier, admitted like a background campaign (acquireAllBackground)
+	// tier, holding every concurrency slot while it runs (acquireAll)
 	// so machine-wide simulation concurrency stays at the runner's
 	// width.
 	w, err := cluster.NewWorker(cluster.WorkerConfig{
@@ -99,16 +96,16 @@ func (s *Server) initCluster() error {
 }
 
 // runLocalWorker loops the in-process worker: wait for the coordinator
-// to have work, take the background admission (sweep turnstile + every
-// slot), run leases until the cluster is idle again (ExitOnIdle),
-// release. Holding the slots only while jobs exist keeps HTTP-path
-// runs from being starved by an idle cluster.
+// to have work, take every concurrency slot, run leases until the
+// cluster is idle again (ExitOnIdle), release. Holding the slots only
+// while jobs exist keeps HTTP-path runs from being starved by an idle
+// cluster.
 func (s *Server) runLocalWorker(ctx context.Context) {
 	for {
 		if !s.waitForJobs(ctx) {
 			return
 		}
-		release := s.acquireAllBackground()
+		release := s.acquireAll()
 		err := s.worker.Run(ctx)
 		release()
 		if err != nil || ctx.Err() != nil || s.workerDraining.Load() {
@@ -143,13 +140,10 @@ func (s *Server) kickWorker() {
 }
 
 // DrainCluster stops the in-process worker after its current lease and
-// waits for it — the graceful half of a coordinator shutdown (leases
+// waits for it — the graceful half of a server shutdown (leases
 // in flight complete and report; nothing is abandoned). Remote workers
 // drain themselves on their own SIGTERM.
 func (s *Server) DrainCluster() {
-	if s.worker == nil {
-		return
-	}
 	s.workerDraining.Store(true)
 	s.worker.Drain()
 	s.kickWorker()
@@ -160,15 +154,14 @@ func (s *Server) DrainCluster() {
 // worker). Safe to call more than once.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		if s.worker != nil {
-			s.workerStop()
-			<-s.workerDone
-		}
+		s.workerStop()
+		<-s.workerDone
 	})
 }
 
-// Coordinator exposes the cluster coordinator (nil for RoleSingle),
-// for the daemon's drain logic and tests.
+// Coordinator exposes the cluster coordinator every sweep, campaign
+// and exploration runs through, in either role, for tests and
+// benchmarks.
 func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 
 // --- cluster protocol handlers ---------------------------------------------
@@ -284,21 +277,32 @@ func (s *Server) handleStoreRunPut(w http.ResponseWriter, r *http.Request) {
 
 // --- cluster-routed execution ----------------------------------------------
 
-// clusterSweep runs sweep cells through the coordinator: submit, wake
-// the in-process worker, wait. ctx's cancellation abandons the wait,
-// not the job — a re-request joins it.
-func (s *Server) clusterSweep(ctx context.Context, specs []harness.Spec) error {
-	j, err := s.coord.SubmitSweep(specs)
-	if err != nil {
-		return err
-	}
+// awaitSweep wakes the in-process worker, waits for the sweep job j
+// over specs and returns their records, read back from the store in
+// spec order. ctx's cancellation abandons the wait, not the job: the
+// job runs on, and a re-request joins it.
+func (s *Server) awaitSweep(ctx context.Context, j *cluster.Job, specs []harness.Spec) ([]*store.Record, error) {
 	s.kickWorker()
 	select {
 	case <-j.Done():
-		return j.Err()
+		if err := j.Err(); err != nil {
+			return nil, err
+		}
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
+	recs := make([]*store.Record, len(specs))
+	for i, spec := range specs {
+		rec, ok, err := s.cfg.Store.GetSpec(spec)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("service: sweep cell %s completed but stored no record", store.KeyOf(spec))
+		}
+		recs[i] = rec
+	}
+	return recs, nil
 }
 
 // clusterCampaign runs one campaign through the coordinator and
@@ -326,17 +330,4 @@ func (s *Server) clusterCampaign(spec campaign.Spec, onProgress func(done, total
 		return nil, fmt.Errorf("service: campaign %s finished but stored no report", key)
 	}
 	return rep, nil
-}
-
-// clusterState is what /healthz and /metrics report about the cluster.
-type clusterState struct {
-	role    string
-	metrics cluster.MetricsSnapshot
-}
-
-func (s *Server) clusterInfo() clusterState {
-	if s.coord == nil {
-		return clusterState{role: RoleSingle}
-	}
-	return clusterState{role: RoleCoordinator, metrics: s.coord.Metrics()}
 }

@@ -16,10 +16,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/retry"
@@ -163,6 +167,93 @@ func TestClusterCoordinatorAloneCompletesCampaign(t *testing.T) {
 	}
 	if m["leases_active"].(float64) != 0 {
 		t.Fatalf("leases_active = %v after the campaign finished", m["leases_active"])
+	}
+}
+
+// TestSingleRoleSurface pins the default role: a coordinator with no
+// cluster routes. Every cluster and store-proxy route is 404, yet a
+// campaign and an exploration complete through the in-process worker,
+// and /healthz and /metrics keep their shape.
+func TestSingleRoleSurface(t *testing.T) {
+	srv := newServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, route := range []string{
+		"POST /v1/cluster/join",
+		"POST /v1/cluster/lease",
+		"POST /v1/cluster/complete",
+		"POST /v1/cluster/heartbeat",
+		"GET /v1/store/ns/campaigns/k/trial-000001",
+		"PUT /v1/store/ns/campaigns/k/trial-000001",
+		"PUT /v1/store/runs/" + strings.Repeat("ab", 32),
+	} {
+		method, path, _ := strings.Cut(route, " ")
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", route, resp.StatusCode)
+		}
+	}
+
+	cr, code := postCampaignURL(t, ts.URL, smallCampaign)
+	if code != http.StatusAccepted {
+		t.Fatalf("campaign POST: %d", code)
+	}
+	var done CampaignResponse
+	if err := json.Unmarshal(pollCampaign(t, ts.URL, cr.Key), &done); err != nil {
+		t.Fatal(err)
+	}
+	if done.Report == nil || done.Report.VerifiedOK != done.Report.Trials {
+		t.Fatalf("campaign report: %+v", done.Report)
+	}
+	er, code := postExplore(t, ts.URL, exploreBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("explore POST: %d", code)
+	}
+	if rep := pollExplore(t, ts.URL, er.Key).Report; rep == nil || len(rep.Frontier) == 0 {
+		t.Fatalf("exploration report: %+v", rep)
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hz map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if hz["role"] != RoleSingle {
+		t.Fatalf("healthz role = %v, want %s", hz["role"], RoleSingle)
+	}
+
+	m := metricsMap(t, ts.URL)
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"cache_hits", "cache_misses", "campaign_trials_done", "campaigns_running",
+		"campaigns_total", "cells_remote_total", "dedups", "explore_cells_done",
+		"explore_cells_evaluated", "explore_cells_from_store", "explores_running", "explores_total",
+		"in_flight", "leases_active", "leases_expired", "live_workers", "max_concurrent",
+		"queue_capacity", "queue_waiting", "role", "runner_cached_cells", "runs_total",
+		"store_errors", "store_records", "sweeps_total", "trials_remote_total", "workers_joined"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("metrics keys = %v\nwant %v", keys, want)
+	}
+	if m["role"] != RoleSingle || m["workers_joined"].(float64) != 1 ||
+		m["trials_remote_total"].(float64) < float64(done.Report.Trials) {
+		t.Fatalf("metrics: role %v, %v workers joined, %v trials via leases; want single, 1 (the in-process worker), >= %d",
+			m["role"], m["workers_joined"], m["trials_remote_total"], done.Report.Trials)
 	}
 }
 
@@ -426,5 +517,89 @@ func TestStoreProxySnapshotRecords(t *testing.T) {
 	}
 	if code, _, _ := do(http.MethodPut, "/v1/store/ns/campaigns/k/trial-000001", []byte("not json")); code != http.StatusBadRequest {
 		t.Errorf("PUT non-JSON trial record: status %d, want 400", code)
+	}
+}
+
+// TestFailingUnitsFailTheirJobs: a unit that fails on every attempt
+// fails its sweep request or campaign job instead of being re-leased
+// forever by the in-process worker, and the server keeps serving runs
+// afterwards. A trial panics when its scale has a zero detection
+// latency (a valid Go spec no HTTP request can name); a record fails
+// to store when a directory sits at its path.
+func TestFailingUnitsFailTheirJobs(t *testing.T) {
+	dir := t.TempDir()
+	srv := newServer(t, dir, nil)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	// A request the worker never finishes times out instead of hanging.
+	client := &http.Client{Timeout: time.Minute}
+
+	// A campaign whose trials panic.
+	panicky := campaign.Spec{Base: harness.Spec{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: harness.Quick},
+		Trials: 2, Faults: 1, Seed: 1}
+	panicky.Base.Scale.DetectLatency = 0
+	errc := make(chan error, 1)
+	go func() {
+		_, err := srv.clusterCampaign(panicky, func(done, total int) {})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "panic") {
+			t.Fatalf("panicking campaign: err = %v, want the trial's panic", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("panicking campaign still running after a minute")
+	}
+
+	// A sweep cell whose record cannot be stored.
+	cell, err := RunRequest{App: "FFT", Procs: 4, Scheme: "none"}.Spec(srv.cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, store.KeyOf(cell)+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, body := do(t, client, "POST", ts.URL+"/v1/sweeps",
+		SweepRequest{Specs: []RunRequest{{App: "FFT", Procs: 4, Scheme: "none"}}}, nil)
+	if code != http.StatusInternalServerError || !strings.Contains(body, "failed") {
+		t.Fatalf("unstorable sweep: %d %s, want 500 naming the failure", code, body)
+	}
+
+	// A campaign job whose first trial cannot be stored.
+	var req CampaignRequest
+	if err := json.Unmarshal([]byte(smallCampaign), &req); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := req.Spec(srv.cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := campaign.KeyOf(spec)
+	if err := os.MkdirAll(filepath.Join(dir, "campaigns", key, campaign.TrialRecordName(0)+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, code := postCampaignURL(t, ts.URL, smallCampaign); code != http.StatusAccepted {
+		t.Fatalf("campaign POST: %d", code)
+	}
+	var got CampaignResponse
+	for deadline := time.Now().Add(time.Minute); got.Status != StatusFailed; {
+		if got.Status == StatusDone || time.Now().After(deadline) {
+			t.Fatalf("unstorable campaign: %+v, want it to fail", got)
+		}
+		time.Sleep(20 * time.Millisecond)
+		do(t, client, "GET", ts.URL+"/v1/campaigns/"+key, nil, &got)
+	}
+	if !strings.Contains(got.Error, "trial 0") {
+		t.Fatalf("unstorable campaign failed with %q, want it to name trial 0", got.Error)
+	}
+
+	// The worker went idle: runs are served again.
+	if code, body := do(t, client, "POST", ts.URL+"/v1/runs",
+		RunRequest{App: "FFT", Procs: 4, Scheme: "Rebound"}, nil); code != http.StatusOK {
+		t.Fatalf("run after the failures: %d %s", code, body)
+	}
+	if n := srv.coord.Jobs(); n != 0 {
+		t.Fatalf("%d coordinator jobs left, want 0", n)
 	}
 }

@@ -13,12 +13,10 @@ package service
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/campaign"
 	"repro/internal/explore"
 	"repro/internal/harness"
-	"repro/internal/store"
 )
 
 // ExploreRequest is the JSON body of POST /v1/explore: the workload,
@@ -79,7 +77,7 @@ func (s *Server) exploreKind() *jobKind[ExploreRequest, explore.Spec, explore.Fr
 		start: func(spec explore.Spec) int { return len(spec.Cells()) * len(explore.RungSchedule(spec)) },
 		total: func(rep *explore.FrontierReport) int { return len(rep.Spec.Cells()) * len(rep.Rungs) },
 		run: func(spec explore.Spec, onProgress func(done, total int)) (*explore.FrontierReport, error) {
-			ex := explore.New(s.exploreEvaluator(), s.cfg.Store)
+			ex := explore.New(&clusterEvaluator{s: s}, s.cfg.Store)
 			ex.OnProgress = onProgress
 			rep, err := ex.Run(context.Background(), spec)
 			ev, fs, _ := ex.Counters()
@@ -89,16 +87,6 @@ func (s *Server) exploreKind() *jobKind[ExploreRequest, explore.Spec, explore.Fr
 		},
 		started: &s.exploresTotal, running: &s.exploresRunning, unitsDone: &s.exploreCellsDone,
 	}
-}
-
-// exploreEvaluator picks where an exploration's simulations run: in
-// process for a single-node daemon, through the cluster coordinator
-// otherwise.
-func (s *Server) exploreEvaluator() explore.Evaluator {
-	if s.coord != nil {
-		return &clusterEvaluator{s: s}
-	}
-	return explore.NewLocal(s.cfg.Runner, s.cfg.Store)
 }
 
 // clusterEvaluator routes an exploration's cell evaluations through
@@ -117,15 +105,13 @@ func (ce *clusterEvaluator) Run(ctx context.Context, spec harness.Spec) (harness
 	if rec, ok, _ := ce.s.cfg.Store.GetSpec(spec); ok {
 		return rec.Result(), nil
 	}
-	if err := ce.s.clusterSweep(ctx, []harness.Spec{spec}); err != nil {
-		return harness.Result{}, err
-	}
-	rec, ok, err := ce.s.cfg.Store.GetSpec(spec)
+	j, err := ce.s.coord.SubmitSweep([]harness.Spec{spec})
 	if err != nil {
 		return harness.Result{}, err
 	}
-	if !ok {
-		return harness.Result{}, fmt.Errorf("service: explore cell %s completed but stored no record", store.KeyOf(spec))
+	recs, err := ce.s.awaitSweep(ctx, j, []harness.Spec{spec})
+	if err != nil {
+		return harness.Result{}, err
 	}
-	return rec.Result(), nil
+	return recs[0].Result(), nil
 }

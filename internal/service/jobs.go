@@ -73,8 +73,9 @@ type jobKind[Q jobRequest[S], S, R any] struct {
 	// report.
 	start func(S) int
 	total func(*R) int
-	// run executes one job to completion, reporting unit progress;
-	// runJob admits it.
+	// run executes one job to completion through the coordinator,
+	// reporting unit progress; the in-process worker's loop admits its
+	// leases.
 	run func(spec S, onProgress func(done, total int)) (*R, error)
 
 	started, running, unitsDone *expvar.Int
@@ -214,14 +215,7 @@ func (k *jobKind[Q, S, R]) handlePost(w http.ResponseWriter, r *http.Request) {
 func (k *jobKind[Q, S, R]) runJob(id string, j *job, spec S) {
 	s := k.s
 	defer k.running.Add(-1)
-	release := func() {}
-	if s.coord == nil {
-		// Single node: the job holds the whole runner, as a sweep does.
-		// A coordinator admits each lease in its worker loop instead.
-		release = s.acquireAllBackground()
-	}
 	_, err := k.run(spec, j.progress)
-	release()
 
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()

@@ -139,13 +139,21 @@ func TestJobMalformedKeyIs404(t *testing.T) {
 	}
 }
 
-// holdRunner blocks every background job at admission until the
-// returned func is called: the job is admitted and running, but
-// cannot take the sweep turnstile.
+// holdRunner holds every concurrency slot until the returned func is
+// called: a submitted job is admitted and running, but the in-process
+// worker cannot take the slots to run its leases.
 func holdRunner(srv *Server) (release func()) {
-	srv.sweepSem <- struct{}{}
+	for i := 0; i < cap(srv.slots); i++ {
+		srv.slots <- struct{}{}
+	}
 	var once sync.Once
-	return func() { once.Do(func() { <-srv.sweepSem }) }
+	return func() {
+		once.Do(func() {
+			for i := 0; i < cap(srv.slots); i++ {
+				<-srv.slots
+			}
+		})
+	}
 }
 
 // TestJobAdmissionIsSharedAcrossKinds fills QueueDepth 1 with a

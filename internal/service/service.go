@@ -1,9 +1,11 @@
 // Package service exposes the simulation harness as an HTTP API — the
 // "simulation-as-a-service" layer of cmd/reboundd. It accepts Spec and
-// sweep requests, schedules them on the shared harness.Runner behind a
-// bounded admission queue, persists every result in the content-
-// addressed store, and serves repeated requests from that store without
-// re-simulating — across process restarts.
+// sweep requests behind a bounded admission queue, persists every
+// result in the content-addressed store, and serves repeated requests
+// from that store without re-simulating — across process restarts.
+// A single run simulates on the request path; every sweep, campaign
+// and exploration runs through the cluster coordinator and its
+// in-process worker (cluster.go), whatever the server's role.
 //
 // Endpoints:
 //
@@ -59,33 +61,37 @@ type Config struct {
 	// name one (harness.Quick or harness.Full).
 	Scale harness.Scale
 	// MaxConcurrent bounds how many admitted single-run jobs simulate
-	// at once; <= 0 selects the runner's worker count. A sweep fans out
-	// across the runner's full worker pool, so it is admitted
-	// exclusively: it waits for and holds every slot, keeping the
-	// machine-wide simulation concurrency at the runner's width no
-	// matter how many sweeps and runs are in flight.
+	// at once; <= 0 selects the runner's worker count. The in-process
+	// worker fans sweep cells and campaign trials out across the
+	// runner's full worker pool, so while the coordinator has jobs it
+	// holds every slot, keeping the machine-wide simulation concurrency
+	// at the runner's width.
 	MaxConcurrent int
-	// QueueDepth bounds how many jobs may wait for a slot before the
-	// service answers 503; <= 0 selects 64.
+	// QueueDepth bounds two things, each answering 503 when full: the
+	// waiting room (single runs waiting for a slot, and sweep jobs
+	// started by a request until they are done) and the running
+	// background jobs. <= 0 selects 64.
 	QueueDepth int
-	// Role selects distributed mode: RoleSingle (default) runs every
-	// job in process; RoleCoordinator partitions sweeps and campaigns
-	// into cluster leases and serves the cluster endpoints (cluster.go).
+	// Role selects the cluster surface the server mounts. Every sweep,
+	// campaign and exploration runs through the cluster coordinator in
+	// either role; RoleSingle (default) is a coordinator with no remote
+	// workers and no cluster routes, RoleCoordinator also serves the
+	// cluster protocol and store-proxy routes remote workers join
+	// through (cluster.go).
 	Role string
-	// LeaseTTL overrides the cluster lease TTL in coordinator role;
-	// 0 selects cluster.DefaultLeaseTTL.
+	// LeaseTTL overrides the cluster lease TTL; 0 selects
+	// cluster.DefaultLeaseTTL.
 	LeaseTTL time.Duration
 }
 
 // Server is the HTTP service. Create with New; it implements
 // http.Handler and is safe for concurrent use.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	slots    chan struct{} // concurrency slots, cap MaxConcurrent
-	waitq    chan struct{} // waiting-room tokens, cap QueueDepth
-	sweepSem chan struct{} // sweep turnstile, cap 1 (see acquireAll)
-	start    time.Time
+	cfg   Config
+	mux   *http.ServeMux
+	slots chan struct{} // concurrency slots, cap MaxConcurrent
+	waitq chan struct{} // waiting-room tokens, cap QueueDepth
+	start time.Time
 
 	mu     sync.Mutex
 	flight map[string]*call
@@ -98,8 +104,9 @@ type Server struct {
 	loader    *campaign.Engine
 	expLoader *explore.Explorer
 
-	// Cluster state (cluster.go), nil/zero for RoleSingle: the
-	// coordinator, the in-process worker and its lifecycle plumbing.
+	// Cluster state (cluster.go): the coordinator every sweep, campaign
+	// and exploration runs through, the in-process worker and its
+	// lifecycle plumbing.
 	coord          *cluster.Coordinator
 	worker         *cluster.Worker
 	workerStop     context.CancelFunc
@@ -154,12 +161,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
+	switch cfg.Role {
+	case "":
+		cfg.Role = RoleSingle
+	case RoleSingle, RoleCoordinator:
+	default:
+		return nil, fmt.Errorf("service: unknown role %q", cfg.Role)
+	}
 	s := &Server{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		slots:     make(chan struct{}, cfg.MaxConcurrent),
 		waitq:     make(chan struct{}, cfg.QueueDepth),
-		sweepSem:  make(chan struct{}, 1),
 		start:     time.Now(),
 		flight:    make(map[string]*call),
 		jobs:      make(map[string]*job),
@@ -269,29 +282,38 @@ type errorResponse struct {
 
 // --- admission queue -------------------------------------------------------
 
-// enter takes a token of sem, waiting in the bounded waiting room if
-// none is free. It fails with errQueueFull when the waiting room is
-// full, or with ctx's error when ctx is cancelled while waiting — in
-// both cases holding nothing (a cancelled request frees its place in
-// line immediately).
-func (s *Server) enter(ctx context.Context, sem chan struct{}) error {
-	select {
-	case sem <- struct{}{}:
-		return nil
-	default:
-	}
-	// Busy: take a waiting-room token. The buffered channel enforces
-	// the bound atomically — a burst larger than QueueDepth gets
-	// errQueueFull, never an over-long queue.
+// waitRoom takes a waiting-room token without blocking and returns
+// its release func. The buffered channel enforces the bound
+// atomically: a burst larger than QueueDepth gets errQueueFull, never
+// an over-long queue.
+func (s *Server) waitRoom() (func(), error) {
 	select {
 	case s.waitq <- struct{}{}:
 	default:
-		return errQueueFull
+		return nil, errQueueFull
 	}
 	s.queued.Add(1)
-	defer func() { s.queued.Add(-1); <-s.waitq }()
+	return func() { s.queued.Add(-1); <-s.waitq }, nil
+}
+
+// enter takes a concurrency slot, waiting in the bounded waiting room
+// if none is free. It fails with errQueueFull when the waiting room is
+// full, or with ctx's error when ctx is cancelled while waiting — in
+// both cases holding nothing (a cancelled request frees its place in
+// line immediately).
+func (s *Server) enter(ctx context.Context) error {
 	select {
-	case sem <- struct{}{}:
+	case s.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	leave, err := s.waitRoom()
+	if err != nil {
+		return err
+	}
+	defer leave()
+	select {
+	case s.slots <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -302,7 +324,7 @@ func (s *Server) enter(ctx context.Context, sem chan struct{}) error {
 // returns the release func.
 func (s *Server) acquire(r *http.Request) (func(), error) {
 	ctx := r.Context()
-	if err := s.enter(ctx, s.slots); err != nil {
+	if err := s.enter(ctx); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -313,56 +335,50 @@ func (s *Server) acquire(r *http.Request) (func(), error) {
 	return func() { <-s.slots; s.inFlight.Add(-1) }, nil
 }
 
-// acquireAll admits a sweep exclusively. A sweep fans its cells out
-// across the runner's full worker pool, so admitting it like a single
-// job would let MaxConcurrent sweeps run MaxConcurrent×workers
-// simulations at once. Instead a sweep first takes the single-entry
-// sweep turnstile (bounded wait, like acquire), then drains every
-// concurrency slot: while it runs, no other sweep or single run
-// simulates, and total simulation concurrency stays at the runner's
-// width. Only one sweep drains at a time (the turnstile), so two
-// sweeps can never deadlock holding half the slots each.
-func (s *Server) acquireAll(r *http.Request) (func(), error) {
-	if err := s.enter(r.Context(), s.sweepSem); err != nil {
+// submitSweep submits the missing cells of a sweep request to the
+// coordinator. A sweep that starts a new job takes a waiting-room
+// token without blocking (a full room is errQueueFull), and the job
+// holds it until it is done: a client that drops its request cannot
+// pile up jobs beyond QueueDepth. A sweep that joins a job already in
+// flight adds no work and takes no token.
+func (s *Server) submitSweep(specs []harness.Spec) (*cluster.Job, error) {
+	if s.coord.SweepInFlight(specs) {
+		return s.coord.SubmitSweep(specs)
+	}
+	leave, err := s.waitRoom()
+	if err != nil {
 		return nil, err
 	}
-	return s.drainSlots(r.Context())
-}
-
-// acquireAllBackground is acquireAll for background jobs: it waits
-// indefinitely on the sweep turnstile, then drains every concurrency
-// slot, so a running job keeps machine-wide simulation concurrency at
-// the runner's width exactly like a sweep does. Admission control
-// happened at POST time (the running-job map is the visible queue), so
-// there is no waiting-room bound or request context to honour here.
-func (s *Server) acquireAllBackground() func() {
-	s.sweepSem <- struct{}{}
-	release, _ := s.drainSlots(context.Background())
-	return release
-}
-
-// drainSlots takes every concurrency slot for the holder of the sweep
-// turnstile. On ctx's cancellation it gives back the slots it took and
-// the turnstile.
-func (s *Server) drainSlots(ctx context.Context) (func(), error) {
-	taken := 0
-	giveBack := func() {
-		for i := 0; i < taken; i++ {
-			<-s.slots
-		}
-		<-s.sweepSem
+	j, err := s.coord.SubmitSweep(specs)
+	if err != nil {
+		leave()
+		return nil, err
 	}
-	for taken < cap(s.slots) {
-		select {
-		case s.slots <- struct{}{}:
-			taken++
-		case <-ctx.Done():
-			giveBack()
-			return nil, ctx.Err()
-		}
+	go func() {
+		<-j.Done()
+		leave()
+	}()
+	return j, nil
+}
+
+// acquireAll admits the in-process worker while the coordinator has
+// jobs: it waits for and drains every concurrency slot, so the leases
+// it fans out across the runner's full pool keep machine-wide
+// simulation concurrency at the runner's width. The worker is the only
+// holder of more than one slot, so no two drainers can deadlock
+// holding half the slots each; admission control happened when the
+// jobs were submitted, so there is no waiting-room bound here.
+func (s *Server) acquireAll() func() {
+	for i := 0; i < cap(s.slots); i++ {
+		s.slots <- struct{}{}
 	}
 	s.inFlight.Add(1)
-	return func() { giveBack(); s.inFlight.Add(-1) }, nil
+	return func() {
+		for i := 0; i < cap(s.slots); i++ {
+			<-s.slots
+		}
+		s.inFlight.Add(-1)
+	}
 }
 
 // --- core run path ---------------------------------------------------------
@@ -580,8 +596,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSweep serves every cell of a sweep: stored cells from the store,
-// the rest simulated as one admitted job across the runner's pool,
-// each result persisted before the response is assembled.
+// the rest simulated as one admitted coordinator job, each result
+// persisted before the response is assembled.
 func (s *Server) runSweep(r *http.Request, figure string, sc harness.Scale, specs []harness.Spec) (*SweepResponse, error) {
 	recs := make(map[string]*store.Record, len(specs))
 	cached := make(map[string]bool, len(specs))
@@ -606,53 +622,20 @@ func (s *Server) runSweep(r *http.Request, figure string, sc harness.Scale, spec
 		missing = append(missing, spec)
 	}
 
-	switch {
-	case len(missing) == 0:
-	case s.coord != nil:
-		// Coordinator role: the cluster runs the missing cells — the
-		// in-process worker plus whatever remote workers have joined —
-		// and every record lands in the shared store before the job
-		// completes. The response is then read back from the store,
-		// exactly as a single-node run would have written it.
-		if err := s.clusterSweep(r.Context(), missing); err != nil {
-			return nil, err
-		}
-		for _, spec := range missing {
-			key := store.KeyOf(spec)
-			rec, ok, err := s.cfg.Store.Get(key)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("service: sweep cell %s completed but stored no record", key)
-			}
-			s.cacheMisses.Add(1)
-			recs[key] = rec
-		}
-	default:
-		release, err := s.acquireAll(r)
+	if len(missing) > 0 {
+		// The coordinator runs the missing cells: the in-process worker
+		// plus whatever remote workers have joined.
+		j, err := s.submitSweep(missing)
 		if err != nil {
 			return nil, err
 		}
-		results, runErr := s.cfg.Runner.Run(r.Context(), missing...)
-		release()
-		// Persist every cell that did complete before reporting any
-		// error: a sweep cancelled at 90% must not lose its finished
-		// simulations to a later restart (cells that never ran have a
-		// zero Result with no stats).
-		for _, res := range results {
-			if res.St == nil {
-				continue
-			}
-			rec, err := s.cfg.Store.PutResult(res)
-			if err != nil {
-				return nil, err
-			}
+		fresh, err := s.awaitSweep(r.Context(), j, missing)
+		if err != nil {
+			return nil, err
+		}
+		for _, rec := range fresh {
 			s.cacheMisses.Add(1)
 			recs[rec.Key] = rec
-		}
-		if runErr != nil {
-			return nil, runErr
 		}
 	}
 
@@ -674,20 +657,19 @@ func (s *Server) runSweep(r *http.Request, figure string, sc harness.Scale, spec
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	info := s.clusterInfo()
 	body := map[string]any{
 		"status":         "ok",
-		"role":           info.role,
+		"role":           s.cfg.Role,
 		"uptime_seconds": int64(time.Since(s.start).Seconds()),
 		"store_records":  s.cfg.Store.Len(),
 		"workers":        s.cfg.Runner.Workers(),
-		"peers":          info.metrics.LiveWorkers,
+		"peers":          s.coord.LiveWorkers(),
 	}
 	writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	info := s.clusterInfo()
+	cm := s.coord.Metrics()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"cache_hits": %s, "cache_misses": %s, "dedups": %s, `+
 		`"in_flight": %s, "queue_waiting": %s, "queue_capacity": %d, `+
@@ -705,9 +687,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		s.exploresTotal.String(), s.exploresRunning.String(), s.exploreCellsDone.String(),
 		s.exploreCellsEvaluated.String(), s.exploreCellsFromStore.String(),
 		s.storeErrors.String(), s.cfg.Store.Len(), s.cfg.Runner.CachedRuns(),
-		info.role, info.metrics.WorkersJoined, info.metrics.LiveWorkers,
-		info.metrics.LeasesActive, info.metrics.LeasesExpired,
-		info.metrics.TrialsRemote, info.metrics.CellsRemote)
+		s.cfg.Role, cm.WorkersJoined, cm.LiveWorkers, cm.LeasesActive, cm.LeasesExpired,
+		cm.TrialsRemote, cm.CellsRemote)
 }
 
 // --- helpers ---------------------------------------------------------------

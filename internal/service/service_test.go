@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/store"
@@ -29,6 +30,7 @@ func newServer(t *testing.T, dir string, mutate func(*Config)) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
@@ -283,8 +285,9 @@ func TestSweepExplicitSpecsAndStoreReuse(t *testing.T) {
 }
 
 func TestConcurrentSweepsAndRunsDoNotDeadlock(t *testing.T) {
-	// Sweeps are admitted exclusively (they drain every concurrency
-	// slot); interleaved sweeps and single runs must all complete.
+	// The in-process worker running the sweeps drains every
+	// concurrency slot; interleaved sweeps and single runs must all
+	// complete.
 	srv := newServer(t, t.TempDir(), func(cfg *Config) {
 		cfg.MaxConcurrent = 2
 		cfg.QueueDepth = 16
@@ -319,8 +322,108 @@ func TestConcurrentSweepsAndRunsDoNotDeadlock(t *testing.T) {
 	if got := srv.inFlight.Value(); got != 0 {
 		t.Fatalf("in_flight = %d after all requests, want 0", got)
 	}
-	if len(srv.slots) != 0 || len(srv.sweepSem) != 0 {
-		t.Fatalf("slots/turnstile leaked: %d/%d", len(srv.slots), len(srv.sweepSem))
+	if len(srv.slots) != 0 || len(srv.waitq) != 0 {
+		t.Fatalf("slots/waiting room leaked: %d/%d", len(srv.slots), len(srv.waitq))
+	}
+}
+
+// TestSweepAdmissionBound: a sweep that starts a coordinator job takes
+// a waiting-room token, and the job holds it until it is done. With
+// QueueDepth 1, a second distinct sweep is turned away with 503, also
+// after the first request was cancelled, while a re-POST of the first
+// joins its job without a token.
+func TestSweepAdmissionBound(t *testing.T) {
+	srv := newServer(t, t.TempDir(), func(cfg *Config) { cfg.QueueDepth = 1 })
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	release := holdRunner(srv)
+	defer release()
+
+	const first = `{"specs":[{"app":"FFT","procs":4,"scheme":"Rebound"}]}`
+	type outcome struct {
+		code int
+		resp SweepResponse
+		err  error
+	}
+	results := make(chan outcome, 2)
+	post := func(ctx context.Context) {
+		var o outcome
+		req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/sweeps", strings.NewReader(first))
+		if err != nil {
+			results <- outcome{err: err}
+			return
+		}
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			o.code = resp.StatusCode
+			o.err = json.NewDecoder(resp.Body).Decode(&o.resp)
+			resp.Body.Close()
+		}
+		if o.err == nil {
+			o.err = err
+		}
+		results <- o
+	}
+	// An admitted distinct sweep would wait on the held runner: the
+	// timeout turns that into a failure instead of a hang.
+	impatient := &http.Client{Timeout: 5 * time.Second}
+	distinctIs503 := func(when string) {
+		t.Helper()
+		if code, body := do(t, impatient, "POST", ts.URL+"/v1/sweeps",
+			SweepRequest{Specs: []RunRequest{{App: "FFT", Procs: 4, Scheme: "none"}}}, nil); code != http.StatusServiceUnavailable {
+			t.Fatalf("distinct sweep %s: %d %s, want 503", when, code, body)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go post(ctx)
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.coord.Jobs() != 1 || len(srv.waitq) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("first sweep never started its job: %d jobs, %d tokens", srv.coord.Jobs(), len(srv.waitq))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	distinctIs503("with the first sweep waiting")
+
+	// Cancelling the first request leaves its job running, and the job
+	// keeps its token.
+	cancel()
+	if o := <-results; o.err == nil {
+		t.Fatalf("cancelled sweep answered %d, want a transport error", o.code)
+	}
+	time.Sleep(200 * time.Millisecond) // let the server see the cancel
+	if n := srv.coord.Jobs(); n != 1 || len(srv.waitq) != 1 {
+		t.Fatalf("%d coordinator jobs, %d tokens after the cancel, want 1 and 1", n, len(srv.waitq))
+	}
+	distinctIs503("after the first request was cancelled")
+
+	// The re-POST joins: it is not turned away, and it starts no job.
+	go post(context.Background())
+	select {
+	case o := <-results:
+		t.Fatalf("re-POST answered %d while the first sweep's job was held, want it to wait", o.code)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if n := srv.coord.Jobs(); n != 1 {
+		t.Fatalf("%d coordinator jobs after the re-POST, want 1", n)
+	}
+
+	release()
+	o := <-results
+	if o.err != nil || o.code != http.StatusOK {
+		t.Fatalf("re-POST: %d %v, want 200", o.code, o.err)
+	}
+	if o.resp.Cached != 0 || o.resp.Cells[0].Cycles == 0 {
+		t.Fatalf("re-POST was not served by the held job: %+v", o.resp)
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for len(srv.waitq) != 0 || srv.queued.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiting room leaked: %d tokens, queue_waiting %d", len(srv.waitq), srv.queued.Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
