@@ -453,7 +453,19 @@ func (t *TrialRunner) initialize() error {
 // unsupported for this cell and the caller must use the fresh-build
 // path.
 func (t *TrialRunner) acquire() (*machine.Machine, bool, error) {
-	t.init.Do(func() { t.initErr = t.initialize() })
+	t.init.Do(func() {
+		// A panic while preparing the snapshot (a simulator bug, a
+		// failing snapshot tier) fails every trial of the runner, as an
+		// error returned from initialize does; left unrecovered it would
+		// mark init done with no snapshot, and later trials would
+		// quietly take the fresh-build path.
+		defer func() {
+			if p := recover(); p != nil {
+				t.initErr = fmt.Errorf("campaign: preparing the warm snapshot: panic: %v", p)
+			}
+		}()
+		t.initErr = t.initialize()
+	})
 	if t.initErr != nil {
 		return nil, false, t.initErr
 	}

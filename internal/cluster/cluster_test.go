@@ -304,11 +304,16 @@ func TestWorkerDropsRunnersWhenIdle(t *testing.T) {
 	}
 }
 
+// panicTier is a LocalTier whose snapshot read panics: the panic
+// source of the failure tests, since no valid spec makes a trial panic.
+type panicTier struct{ LocalTier }
+
+func (*panicTier) GetSnapshot(string) ([]byte, bool, error) { panic("snapshot tier failure") }
+
 // TestPanickingTrialFailsJob: a trial that panics on every attempt
 // fails its campaign job after MaxUnitFailures reports, so the worker
-// goes idle instead of re-running the trial forever. The spec is valid
-// but its scale has a zero detection latency, which panics in fault
-// injection.
+// goes idle instead of re-running the trial forever. The trials panic
+// because the worker's tier panics on the snapshot read.
 func TestPanickingTrialFailsJob(t *testing.T) {
 	st := openStore(t)
 	c, err := New(Config{Store: st})
@@ -316,8 +321,6 @@ func TestPanickingTrialFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := testSpec(2, 3)
-	spec.Base.Scale.DetectLatency = 0
-	spec.Window = 0
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +328,17 @@ func TestPanickingTrialFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newDirectWorker(t, c, st, "panicky")
+	w, err := NewWorker(WorkerConfig{
+		Proto:      Direct{C: c},
+		Runner:     harness.NewRunner(2),
+		Tier:       &panicTier{LocalTier{St: st}},
+		Name:       "panicky",
+		ExitOnIdle: true,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ran := make(chan error, 1)
 	go func() { ran <- w.Run(context.Background()) }()
 	select {

@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,6 +121,10 @@ type Coordinator struct {
 	leases  map[uint64]*lease
 	nextID  uint64
 	nextWkr uint64
+	// changed is closed and replaced (signalLocked) whenever a unit may
+	// have become claimable or the job set changed; waiting leases and
+	// the service's idle in-process worker sleep on it.
+	changed chan struct{}
 
 	// progress queues deferred onProgress calls; its own lock so
 	// markDone can enqueue from under either c.mu or a job lock.
@@ -153,7 +157,24 @@ func New(cfg Config) (*Coordinator, error) {
 		workers: make(map[string]*workerState),
 		jobs:    make(map[string]*Job),
 		leases:  make(map[uint64]*lease),
+		changed: make(chan struct{}),
 	}, nil
+}
+
+// Changed returns a channel that is closed at the coordinator's next
+// change: a job submitted or finished, or a unit returned to the pool
+// (unclaimed, failed or reaped). Take it before reading the state it
+// guards, so a change in between is not missed.
+func (c *Coordinator) Changed() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.changed
+}
+
+// signalLocked wakes everyone waiting on Changed. Called with c.mu held.
+func (c *Coordinator) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
 }
 
 // LeaseTTL reports the configured lease lifetime.
@@ -316,6 +337,7 @@ func (c *Coordinator) install(j *Job) (*Job, error) {
 	c.jobs[j.key] = j
 	c.order = append(c.order, j.key)
 	complete := j.done == len(j.state)
+	c.signalLocked()
 	c.mu.Unlock()
 	if complete {
 		c.finishJob(j, nil)
@@ -356,16 +378,70 @@ func (c *Coordinator) touch(id string) *workerState {
 }
 
 // Lease hands the worker a claim on a slice of the oldest job with
-// work remaining, or nil with a retry hint. Expired leases are reaped
-// here (lazily — the coordinator has no background timers), so a dead
-// worker's units return to the pool the moment a live worker asks.
+// work remaining, or answers at once with none. Expired leases are
+// reaped here (lazily — the coordinator has no background timers), so
+// a dead worker's units return to the pool the moment a live worker
+// asks.
 func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
+	resp, _, _ := c.lease(req)
+	return resp
+}
+
+// LeaseWait is Lease for a worker that would rather wait than hear
+// "nothing yet". An empty answer is held until a unit may have become
+// claimable or the job set changed (Changed), the earliest outstanding
+// lease deadline passes (the waiter then reaps that lease on time),
+// req.WaitMillis passes (clamped to [0, LeaseTTL/4]), or ctx ends. An
+// Idle answer returns at once when req.ExitOnIdle is set; otherwise
+// the wait goes on through an idle cluster, so the next submission
+// wakes the worker.
+func (c *Coordinator) LeaseWait(ctx context.Context, req LeaseRequest) LeaseResponse {
+	end := time.Now().Add(c.waitCap(req.WaitMillis))
+	for {
+		resp, changed, reapIn := c.lease(req)
+		left := time.Until(end)
+		if resp.Lease != nil || left <= 0 || resp.Idle && req.ExitOnIdle {
+			return resp
+		}
+		if reapIn > 0 && reapIn < left {
+			left = reapIn
+		}
+		t := time.NewTimer(left)
+		select {
+		case <-changed:
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return resp
+		}
+		t.Stop()
+	}
+}
+
+// waitCap clamps a requested lease wait, which arrives from the
+// network, to [0, LeaseTTL/4].
+func (c *Coordinator) waitCap(ms int64) time.Duration {
+	limit := c.cfg.LeaseTTL / 4
+	if ms <= 0 {
+		return 0
+	}
+	if ms >= limit.Milliseconds() {
+		return limit
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
+// lease is one attempt of Lease. It also returns, taken under the same
+// lock, the change signal to wait on and how long until the earliest
+// outstanding lease deadline has passed (0 when no lease is out).
+func (c *Coordinator) lease(req LeaseRequest) (resp LeaseResponse, changed <-chan struct{}, reapIn time.Duration) {
 	c.mu.Lock()
 	w := c.touch(req.WorkerID)
 	touched := c.reapLocked()
+	now := c.cfg.Now()
 
 	live := 0
-	cutoff := c.cfg.Now().Add(-3 * c.cfg.LeaseTTL)
+	cutoff := now.Add(-3 * c.cfg.LeaseTTL)
 	for _, ws := range c.workers {
 		if ws.lastSeen.After(cutoff) {
 			live++
@@ -375,7 +451,6 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		live = 1
 	}
 
-	var resp LeaseResponse
 	for _, key := range c.order {
 		j := c.jobs[key]
 		if j == nil {
@@ -387,13 +462,25 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		}
 		c.nextID++
 		l := &lease{id: c.nextID, worker: w.id, job: j,
-			units: units, deadline: c.cfg.Now().Add(c.cfg.LeaseTTL)}
+			units: units, deadline: now.Add(c.cfg.LeaseTTL)}
 		c.leases[l.id] = l
 		c.leasesGranted.Add(1)
 		resp.Lease = c.leasePayload(l)
 		break
 	}
 	resp.Idle = len(c.jobs) == 0
+	changed = c.changed
+	var next time.Time
+	for _, l := range c.leases {
+		if next.IsZero() || l.deadline.Before(next) {
+			next = l.deadline
+		}
+	}
+	if !next.IsZero() {
+		// Reaping needs now past the deadline; the millisecond makes
+		// sure it is.
+		reapIn = next.Sub(now) + time.Millisecond
+	}
 	c.mu.Unlock()
 
 	// Settle reap fallout outside the lock: a reclaimed unit whose
@@ -402,13 +489,7 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		c.maybeFinish(j)
 	}
 	c.flushProgress()
-	if resp.Lease == nil {
-		// No todo units anywhere: either everything is done, or the
-		// rest is leased out and this worker should poll again soon
-		// (it will pick up any lease that expires).
-		resp.RetryMillis = (c.cfg.LeaseTTL / 4).Milliseconds()
-	}
-	return resp
+	return resp, changed, reapIn
 }
 
 // claimLocked takes up to one chunk of j's todo units for worker w.
@@ -492,14 +573,19 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 				claimed[u] = true
 			}
 		}
+		returned := false
 		l.job.mu.Lock()
 		for _, u := range l.units {
 			if l.job.state[u] == unitLeased && !claimed[u] {
 				l.job.state[u] = unitTodo
+				returned = true
 			}
 		}
 		l.job.mu.Unlock()
 		delete(c.leases, req.LeaseID)
+		if returned {
+			c.signalLocked()
+		}
 	} else {
 		// Lease already reaped: the claims still settle against the job
 		// named in the request — work finished just past its deadline
@@ -713,6 +799,9 @@ func (c *Coordinator) reapLocked() []*Job {
 			j.mu.Unlock()
 		}
 	}
+	if len(touched) > 0 {
+		c.signalLocked()
+	}
 	return touched
 }
 
@@ -753,6 +842,7 @@ func (c *Coordinator) finishJob(j *Job, err error) {
 				break
 			}
 		}
+		c.signalLocked()
 		c.mu.Unlock()
 		close(j.finished)
 	})

@@ -10,9 +10,11 @@
 // proxy, all JSON over HTTP:
 //
 //	POST /v1/cluster/join       register; returns worker id + lease TTL
-//	POST /v1/cluster/lease      pull a lease (work-stealing style: idle
-//	                            workers poll; the coordinator hands out
-//	                            shrinking ranges of the remaining work)
+//	POST /v1/cluster/lease      pull a lease (work-stealing style: the
+//	                            coordinator hands out shrinking ranges
+//	                            of the remaining work, and holds an
+//	                            idle worker's request until work
+//	                            appears — a long poll)
 //	POST /v1/cluster/complete   report a lease's finished units
 //	POST /v1/cluster/heartbeat  extend the worker's leases
 //	GET/PUT /v1/store/{...}     the shared store tier (snapshots in,
@@ -82,13 +84,21 @@ type JoinResponse struct {
 // implicitly (a coordinator restart must not strand its fleet).
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
+	// WaitMillis is how long the coordinator may hold the request while
+	// it has no unit to hand out: it answers as soon as a unit becomes
+	// claimable, so an idle worker asks again right after an empty
+	// answer and never sleeps. The coordinator clamps it to [0,
+	// LeaseTTL/4]; 0 answers at once.
+	WaitMillis int64 `json:"wait_ms,omitempty"`
+	// ExitOnIdle asks for an Idle answer at once instead of a wait
+	// through an idle cluster: the worker stops on it.
+	ExitOnIdle bool `json:"exit_on_idle,omitempty"`
 }
 
-// LeaseResponse carries a lease, or none with a retry hint.
+// LeaseResponse carries a lease, or none when the request's wait ended
+// without one.
 type LeaseResponse struct {
 	Lease *Lease `json:"lease,omitempty"`
-	// RetryMillis suggests when to poll again when Lease is nil.
-	RetryMillis int64 `json:"retry_ms,omitempty"`
 	// Idle is true when the coordinator holds no jobs at all (as
 	// opposed to all remaining work being leased out). A worker
 	// configured with ExitOnIdle stops on it.
@@ -153,15 +163,16 @@ type Protocol interface {
 }
 
 // Direct is the in-process Protocol: method calls, no transport, no
-// retries needed.
+// retries needed. Its Lease waits like the HTTP endpoint does
+// (Coordinator.LeaseWait).
 type Direct struct{ C *Coordinator }
 
 func (d Direct) Join(_ context.Context, req JoinRequest) (JoinResponse, error) {
 	return d.C.Join(req), nil
 }
 
-func (d Direct) Lease(_ context.Context, req LeaseRequest) (LeaseResponse, error) {
-	return d.C.Lease(req), nil
+func (d Direct) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
+	return d.C.LeaseWait(ctx, req), nil
 }
 
 func (d Direct) Complete(_ context.Context, req CompleteRequest) (CompleteResponse, error) {

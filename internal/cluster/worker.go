@@ -96,7 +96,11 @@ type WorkerConfig struct {
 	Tier Tier
 	// Name labels the worker in the coordinator's registry.
 	Name string
-	// Poll overrides the coordinator's idle-poll hint; 0 obeys it.
+	// Poll is the longest the worker asks the coordinator to hold a
+	// lease request that finds no unit (rounded up to a millisecond);
+	// 0 asks for the coordinator's cap, a quarter of the lease TTL.
+	// The coordinator answers as soon as work appears, and the worker
+	// asks again right after an empty answer.
 	Poll time.Duration
 	// ExitOnIdle makes Run return nil when the coordinator reports no
 	// jobs at all — the in-process worker of every reboundd uses
@@ -131,9 +135,10 @@ type Worker struct {
 
 	draining atomic.Bool
 
-	mu      sync.Mutex
-	runners map[string]*campaign.TrialRunner
-	order   []string // runner insertion order, for eviction
+	mu       sync.Mutex
+	stopWait context.CancelFunc // ends the current Run's lease wait
+	runners  map[string]*campaign.TrialRunner
+	order    []string // runner insertion order, for eviction
 
 	trialsDone atomic.Int64
 	cellsDone  atomic.Int64
@@ -168,10 +173,18 @@ func (w *Worker) Stats() (trials, cells, leases int64) {
 	return w.trialsDone.Load(), w.cellsDone.Load(), w.leasesRun.Load()
 }
 
-// Drain asks the worker to stop pulling new leases: Run finishes the
-// lease in flight (if any), reports it, and returns nil. It is the
-// graceful half of shutdown — cancel Run's context for the hard half.
-func (w *Worker) Drain() { w.draining.Store(true) }
+// Drain asks the worker to stop pulling new leases: a lease request
+// waiting on the coordinator ends at once, Run finishes the lease in
+// flight (if any), reports it, and returns nil. It is the graceful
+// half of shutdown — cancel Run's context for the hard half.
+func (w *Worker) Drain() {
+	w.draining.Store(true)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.stopWait != nil {
+		w.stopWait()
+	}
+}
 
 // Run joins the coordinator and loops leases until the context is
 // cancelled (hard stop: the in-flight lease is abandoned and expires)
@@ -208,6 +221,14 @@ func (w *Worker) Run(ctx context.Context) error {
 		hb.Wait()
 	}()
 
+	// Lease requests run under waitCtx, which Drain cancels, so a
+	// request the coordinator is holding ends with the drain.
+	waitCtx, stopWait := context.WithCancel(ctx)
+	defer stopWait()
+	w.mu.Lock()
+	w.stopWait = stopWait
+	w.mu.Unlock()
+	req := LeaseRequest{WorkerID: w.ID(), WaitMillis: w.waitMillis(), ExitOnIdle: w.cfg.ExitOnIdle}
 	for {
 		if w.draining.Load() {
 			return nil
@@ -215,10 +236,13 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		resp, err := w.cfg.Proto.Lease(ctx, LeaseRequest{WorkerID: w.ID()})
+		resp, err := w.cfg.Proto.Lease(waitCtx, req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
+			}
+			if w.draining.Load() {
+				return nil
 			}
 			return fmt.Errorf("cluster: lease: %w", err)
 		}
@@ -231,24 +255,20 @@ func (w *Worker) Run(ctx context.Context) error {
 					return nil
 				}
 			}
-			wait := w.cfg.Poll
-			if wait <= 0 {
-				wait = time.Duration(resp.RetryMillis) * time.Millisecond
-			}
-			if wait <= 0 {
-				wait = time.Second
-			}
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
 			continue
 		}
 		w.execute(ctx, resp.Lease)
 	}
+}
+
+// waitMillis is the lease wait the worker asks for: Poll rounded up to
+// a millisecond, or a quarter of the lease TTL when Poll is 0.
+func (w *Worker) waitMillis() int64 {
+	wait := w.cfg.Poll
+	if wait <= 0 {
+		wait = w.ttl / 4
+	}
+	return int64((wait + time.Millisecond - 1) / time.Millisecond)
 }
 
 // execute runs one lease's units and reports the completions and the

@@ -173,6 +173,10 @@ func (s Spec) Validate() error {
 	if s.Scale.Interval == 0 {
 		return fmt.Errorf("harness: scale %q has a zero checkpoint interval", s.Scale.Name)
 	}
+	if s.Scale.DetectLatency == 0 {
+		// Fault injection draws each detection latency from [1, L].
+		return fmt.Errorf("harness: scale %q has a zero detection latency", s.Scale.Name)
+	}
 	if s.WSIGBits < 0 || s.DepSets < 0 {
 		return fmt.Errorf("harness: negative hardware knob (wsigbits=%d depsets=%d)",
 			s.WSIGBits, s.DepSets)

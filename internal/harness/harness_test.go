@@ -60,6 +60,7 @@ func TestSpecValidate(t *testing.T) {
 		{"huge procs", func(s *Spec) { s.Procs = MaxProcs + 1 }, "out of range"},
 		{"zero budget", func(s *Spec) { s.Scale.InstrPerProc = 0 }, "instruction budget"},
 		{"zero interval", func(s *Spec) { s.Scale.Interval = 0 }, "checkpoint interval"},
+		{"zero detection latency", func(s *Spec) { s.Scale.DetectLatency = 0 }, "detection latency"},
 		{"negative knob", func(s *Spec) { s.WSIGBits = -1 }, "negative hardware knob"},
 		{"huge wsig", func(s *Spec) { s.WSIGBits = MaxWSIGBits + 1 }, "wsigbits"},
 		{"one depset", func(s *Spec) { s.DepSets = 1 }, "depsets"},

@@ -3,8 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
+	"strconv"
 	"sync"
 )
 
@@ -34,10 +34,48 @@ func (s Spec) Key() string {
 	if sh <= 1 {
 		sh = 1
 	}
-	return fmt.Sprintf("%s|p=%d|%s|io=%d|wsig=%d|dep=%d|awb=%t|sh=%d|%s|seed=%d|instr=%d|int=%d|L=%d|pl=%d|ps=%d",
-		s.App, s.Procs, s.Scheme, s.IOForce, s.WSIGBits, s.DepSets, s.LogAllWB, sh,
-		s.Scale.Name, s.Scale.Seed, s.Scale.InstrPerProc, s.Scale.Interval,
-		uint64(s.Scale.DetectLatency), s.Scale.ProcsLarge, s.Scale.ProcsSmall)
+	// Built with strconv appends rather than fmt (a sweep's cell list
+	// asks for about a thousand keys); the bytes are those of
+	//	"%s|p=%d|%s|io=%d|wsig=%d|dep=%d|awb=%t|sh=%d|%s|seed=%d|instr=%d|int=%d|L=%d|pl=%d|ps=%d"
+	// and must stay so: keys are store addresses.
+	b := make([]byte, 0, 160)
+	b = append(b, s.App...)
+	b = append(b, "|p="...)
+	b = strconv.AppendInt(b, int64(s.Procs), 10)
+	b = append(b, '|')
+	b = append(b, s.Scheme...)
+	b = append(b, "|io="...)
+	b = strconv.AppendUint(b, s.IOForce, 10)
+	b = append(b, "|wsig="...)
+	b = strconv.AppendInt(b, int64(s.WSIGBits), 10)
+	b = append(b, "|dep="...)
+	b = strconv.AppendInt(b, int64(s.DepSets), 10)
+	b = append(b, "|awb="...)
+	b = strconv.AppendBool(b, s.LogAllWB)
+	b = append(b, "|sh="...)
+	b = strconv.AppendInt(b, int64(sh), 10)
+	b = append(b, '|')
+	b = append(b, s.Scale.Name...)
+	b = append(b, '|')
+	b = appendRunIdentity(b, s.Scale)
+	b = append(b, "|pl="...)
+	b = strconv.AppendInt(b, int64(s.Scale.ProcsLarge), 10)
+	b = append(b, "|ps="...)
+	b = strconv.AppendInt(b, int64(s.Scale.ProcsSmall), 10)
+	return string(b)
+}
+
+// appendRunIdentity appends the scale parameters that shape a run,
+// "seed=%d|instr=%d|int=%d|L=%d", to b.
+func appendRunIdentity(b []byte, sc Scale) []byte {
+	b = append(b, "seed="...)
+	b = strconv.AppendUint(b, sc.Seed, 10)
+	b = append(b, "|instr="...)
+	b = strconv.AppendUint(b, sc.InstrPerProc, 10)
+	b = append(b, "|int="...)
+	b = strconv.AppendUint(b, sc.Interval, 10)
+	b = append(b, "|L="...)
+	return strconv.AppendUint(b, uint64(sc.DetectLatency), 10)
 }
 
 // DeriveSeed maps (Scale.Seed, Spec) to the machine seed: an FNV-1a
@@ -51,11 +89,19 @@ func (s Spec) Key() string {
 // overhead comparisons are paired, exactly as if the same program had
 // been run under each scheme.
 func DeriveSeed(s Spec) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|p=%d|seed=%d|instr=%d|int=%d|L=%d",
-		s.App, s.Procs, s.Scale.Seed, s.Scale.InstrPerProc,
-		s.Scale.Interval, uint64(s.Scale.DetectLatency))
-	z := h.Sum64() + 0x9e3779b97f4a7c15
+	// The hashed bytes are "%s|p=%d|seed=%d|instr=%d|int=%d|L=%d".
+	var buf [128]byte
+	b := append(buf[:0], s.App...)
+	b = append(b, "|p="...)
+	b = strconv.AppendInt(b, int64(s.Procs), 10)
+	b = append(b, '|')
+	b = appendRunIdentity(b, s.Scale)
+	z := uint64(14695981039346656037) // FNV-1a, as hash/fnv's New64a
+	for _, c := range b {
+		z ^= uint64(c)
+		z *= 1099511628211
+	}
+	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31

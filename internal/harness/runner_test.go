@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,6 +36,56 @@ func TestKeyCanonical(t *testing.T) {
 			t.Fatalf("key collision: %q", v.Key())
 		}
 		seen[v.Key()] = true
+	}
+}
+
+// TestKeyAndSeedMatchFormatReference pins Key and DeriveSeed to the
+// fmt forms they replaced, byte for byte, over every cell of both
+// sweeps and a set of knob variants: keys are store addresses, and a
+// seed change would change every simulation.
+func TestKeyAndSeedMatchFormatReference(t *testing.T) {
+	refKey := func(s Spec) string {
+		sh := s.Shards
+		if sh <= 1 {
+			sh = 1
+		}
+		return fmt.Sprintf("%s|p=%d|%s|io=%d|wsig=%d|dep=%d|awb=%t|sh=%d|%s|seed=%d|instr=%d|int=%d|L=%d|pl=%d|ps=%d",
+			s.App, s.Procs, s.Scheme, s.IOForce, s.WSIGBits, s.DepSets, s.LogAllWB, sh,
+			s.Scale.Name, s.Scale.Seed, s.Scale.InstrPerProc, s.Scale.Interval,
+			uint64(s.Scale.DetectLatency), s.Scale.ProcsLarge, s.Scale.ProcsSmall)
+	}
+	refSeed := func(s Spec) uint64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|p=%d|seed=%d|instr=%d|int=%d|L=%d",
+			s.App, s.Procs, s.Scale.Seed, s.Scale.InstrPerProc,
+			s.Scale.Interval, uint64(s.Scale.DetectLatency))
+		z := h.Sum64() + 0x9e3779b97f4a7c15
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		if z == 0 {
+			z = 1
+		}
+		return z
+	}
+	quick, full := SweepSpecs(Quick), SweepSpecs(Full)
+	if len(quick) == 0 || len(full) == 0 {
+		t.Fatalf("sweeps of %d and %d cells", len(quick), len(full))
+	}
+	specs := append(quick, full...)
+	odd := Scale{Name: "", ProcsLarge: -1, InstrPerProc: 1<<64 - 1, Interval: 7, DetectLatency: 1<<64 - 1, Seed: 1<<64 - 1}
+	specs = append(specs,
+		Spec{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: Quick, IOForce: 1 << 40, WSIGBits: 256,
+			DepSets: 2, LogAllWB: true, Shards: 8},
+		Spec{App: "Radix", Procs: -3, Scheme: "", Scale: odd, WSIGBits: -1, DepSets: -2, Shards: -4},
+		Spec{App: "Barnes", Procs: MaxProcs, Scheme: "Global_DWB", Scale: Full, Shards: 1})
+	for _, s := range specs {
+		if got, want := s.Key(), refKey(s); got != want {
+			t.Fatalf("Key() = %q, want %q", got, want)
+		}
+		if got, want := DeriveSeed(s), refSeed(s); got != want {
+			t.Fatalf("DeriveSeed(%s) = %#x, want %#x", s.Key(), got, want)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ package service
 // the unchanged public API:
 //
 //	POST /v1/cluster/join        worker registration
-//	POST /v1/cluster/lease       work-stealing lease pull
+//	POST /v1/cluster/lease       work-stealing lease pull (long poll)
 //	POST /v1/cluster/complete    lease completion (store-validated)
 //	POST /v1/cluster/heartbeat   lease renewal
 //	GET  /v1/store/ns/{path...}  store proxy: raw namespace records
@@ -74,10 +74,14 @@ func (s *Server) initCluster() error {
 	// tier, holding every concurrency slot while it runs (acquireAll)
 	// so machine-wide simulation concurrency stays at the runner's
 	// width.
+	tier := s.cfg.tier
+	if tier == nil {
+		tier = &cluster.LocalTier{St: s.cfg.Store}
+	}
 	w, err := cluster.NewWorker(cluster.WorkerConfig{
 		Proto:      cluster.Direct{C: coord},
 		Runner:     s.cfg.Runner,
-		Tier:       &cluster.LocalTier{St: s.cfg.Store},
+		Tier:       tier,
 		Name:       "local",
 		ExitOnIdle: true,
 	})
@@ -86,11 +90,12 @@ func (s *Server) initCluster() error {
 	}
 	s.worker = w
 	ctx, cancel := context.WithCancel(context.Background())
-	s.workerStop = cancel
+	idle, drain := context.WithCancel(ctx)
+	s.workerStop, s.workerDrain = cancel, drain
 	s.workerDone = make(chan struct{})
 	go func() {
 		defer close(s.workerDone)
-		s.runLocalWorker(ctx)
+		s.runLocalWorker(ctx, idle)
 	}()
 	return nil
 }
@@ -99,43 +104,38 @@ func (s *Server) initCluster() error {
 // to have work, take every concurrency slot, run leases until the
 // cluster is idle again (ExitOnIdle), release. Holding the slots only
 // while jobs exist keeps HTTP-path runs from being starved by an idle
-// cluster.
-func (s *Server) runLocalWorker(ctx context.Context) {
-	for {
-		if !s.waitForJobs(ctx) {
-			return
-		}
+// cluster. Inside Run the worker's lease requests wait on the
+// coordinator (LeaseWait), so it takes a unit the moment one becomes
+// claimable; between jobs waitForJobs waits on the same change signal.
+// ctx stops the worker outright; idle, cancelled by DrainCluster, ends
+// only the waits between jobs.
+func (s *Server) runLocalWorker(ctx, idle context.Context) {
+	for s.waitForJobs(idle) {
 		release := s.acquireAll()
 		err := s.worker.Run(ctx)
 		release()
-		if err != nil || ctx.Err() != nil || s.workerDraining.Load() {
+		if err != nil || idle.Err() != nil {
 			return
 		}
 	}
 }
 
 // waitForJobs blocks until the coordinator has at least one job,
-// returning false on cancellation or drain.
+// returning false once ctx ends.
 func (s *Server) waitForJobs(ctx context.Context) bool {
-	for s.coord.Jobs() == 0 {
-		if s.workerDraining.Load() {
+	for {
+		changed := s.coord.Changed()
+		if ctx.Err() != nil {
 			return false
+		}
+		if s.coord.Jobs() > 0 {
+			return true
 		}
 		select {
 		case <-ctx.Done():
 			return false
-		case <-s.jobKick:
+		case <-changed:
 		}
-	}
-	return true
-}
-
-// kickWorker wakes the in-process worker; called whenever a job is
-// submitted to the coordinator.
-func (s *Server) kickWorker() {
-	select {
-	case s.jobKick <- struct{}{}:
-	default:
 	}
 }
 
@@ -144,9 +144,8 @@ func (s *Server) kickWorker() {
 // in flight complete and report; nothing is abandoned). Remote workers
 // drain themselves on their own SIGTERM.
 func (s *Server) DrainCluster() {
-	s.workerDraining.Store(true)
 	s.worker.Drain()
-	s.kickWorker()
+	s.workerDrain()
 	<-s.workerDone
 }
 
@@ -189,7 +188,9 @@ func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("worker_id is required"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.coord.Lease(req))
+	// The coordinator holds the request until a unit is claimable or
+	// the clamped wait ends; a worker that hangs up ends it too.
+	writeJSON(w, http.StatusOK, s.coord.LeaseWait(r.Context(), req))
 }
 
 // --- store proxy -----------------------------------------------------------
@@ -277,12 +278,10 @@ func (s *Server) handleStoreRunPut(w http.ResponseWriter, r *http.Request) {
 
 // --- cluster-routed execution ----------------------------------------------
 
-// awaitSweep wakes the in-process worker, waits for the sweep job j
-// over specs and returns their records, read back from the store in
+// awaitSweep waits for the sweep job j over specs and returns their records, read back from the store in
 // spec order. ctx's cancellation abandons the wait, not the job: the
 // job runs on, and a re-request joins it.
 func (s *Server) awaitSweep(ctx context.Context, j *cluster.Job, specs []harness.Spec) ([]*store.Record, error) {
-	s.kickWorker()
 	select {
 	case <-j.Done():
 		if err := j.Err(); err != nil {
@@ -316,7 +315,6 @@ func (s *Server) clusterCampaign(spec campaign.Spec, onProgress func(done, total
 	// Publish the resume state (trials recovered from the store at
 	// submission) before any lease completes.
 	onProgress(j.Progress())
-	s.kickWorker()
 	<-j.Done()
 	if err := j.Err(); err != nil {
 		return nil, err

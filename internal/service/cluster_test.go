@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,18 +46,23 @@ func newCoordinator(t *testing.T, dir string, ttl time.Duration) (*Server, *http
 
 // startWorker runs a remote-style worker (HTTP protocol + store proxy,
 // no local store) against the coordinator at url until ctx ends.
-func startWorker(t *testing.T, ctx context.Context, url, name string) (*cluster.Worker, *cluster.RemoteStore, chan error) {
+// mutate, if non-nil, adjusts the worker's config first.
+func startWorker(t *testing.T, ctx context.Context, url, name string, mutate func(*cluster.WorkerConfig)) (*cluster.Worker, *cluster.RemoteStore, chan error) {
 	t.Helper()
 	policy := retry.Policy{Attempts: 8, Jitter: 0.5, Seed: uint64(len(name))}
 	tier := cluster.NewRemoteStore(url, nil, policy)
-	w, err := cluster.NewWorker(cluster.WorkerConfig{
+	cfg := cluster.WorkerConfig{
 		Proto:  cluster.NewHTTPProtocol(url, nil, policy),
 		Runner: harness.NewRunner(2),
 		Tier:   tier,
 		Name:   name,
 		Poll:   5 * time.Millisecond,
 		Logf:   t.Logf,
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	w, err := cluster.NewWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +315,10 @@ func TestClusterCampaignByteIdentityAcrossFleet(t *testing.T) {
 	srv, ts2 := newCoordinator(t, t.TempDir(), 300*time.Millisecond)
 	wctx, stopWorkers := context.WithCancel(context.Background())
 	defer stopWorkers()
-	w1, _, done1 := startWorker(t, wctx, ts2.URL, "alpha")
+	w1, _, done1 := startWorker(t, wctx, ts2.URL, "alpha", nil)
 	victimCtx, killVictim := context.WithCancel(context.Background())
 	defer killVictim()
-	w2, _, done2 := startWorker(t, victimCtx, ts2.URL, "victim")
+	w2, _, done2 := startWorker(t, victimCtx, ts2.URL, "victim", nil)
 
 	if cr, code = postCampaignURL(t, ts2.URL, body); code != http.StatusAccepted {
 		t.Fatalf("fleet POST: %d", code)
@@ -382,7 +388,7 @@ func TestClusterSweepThroughCoordinator(t *testing.T) {
 	_, ts := newCoordinator(t, t.TempDir(), 0)
 	wctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	w, _, done := startWorker(t, wctx, ts.URL, "sweeper")
+	w, _, done := startWorker(t, wctx, ts.URL, "sweeper", nil)
 
 	sweep := SweepRequest{Specs: []RunRequest{
 		{App: "FFT", Procs: 4, Scheme: "Rebound"},
@@ -445,7 +451,7 @@ func TestClusterWorkerColdStartOneSnapshotRead(t *testing.T) {
 	// cold worker joins first so the lease chunking sees a live fleet.
 	wctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	w, tier, done := startWorker(t, wctx, ts.URL, "cold")
+	w, tier, done := startWorker(t, wctx, ts.URL, "cold", nil)
 	cr, _ = postCampaignURL(t, ts.URL,
 		`{"app":"FFT","procs":4,"scheme":"Rebound","trials":60,"faults":2,"window":60000,"seed":2}`)
 	pollCampaign(t, ts.URL, cr.Key)
@@ -520,15 +526,33 @@ func TestStoreProxySnapshotRecords(t *testing.T) {
 	}
 }
 
+// armedPanicTier is the in-process worker's LocalTier, except that
+// its snapshot reads panic while armed.
+type armedPanicTier struct {
+	cluster.LocalTier
+	armed atomic.Bool
+}
+
+func (t *armedPanicTier) GetSnapshot(key string) ([]byte, bool, error) {
+	if t.armed.Load() {
+		panic("snapshot tier failure")
+	}
+	return t.LocalTier.GetSnapshot(key)
+}
+
 // TestFailingUnitsFailTheirJobs: a unit that fails on every attempt
 // fails its sweep request or campaign job instead of being re-leased
 // forever by the in-process worker, and the server keeps serving runs
-// afterwards. A trial panics when its scale has a zero detection
-// latency (a valid Go spec no HTTP request can name); a record fails
+// afterwards. A trial panics while the worker's tier panics on the
+// snapshot read (no valid spec makes a trial panic); a record fails
 // to store when a directory sits at its path.
 func TestFailingUnitsFailTheirJobs(t *testing.T) {
 	dir := t.TempDir()
-	srv := newServer(t, dir, nil)
+	tier := new(armedPanicTier)
+	srv := newServer(t, dir, func(cfg *Config) {
+		tier.St = cfg.Store
+		cfg.tier = tier
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	// A request the worker never finishes times out instead of hanging.
@@ -537,7 +561,7 @@ func TestFailingUnitsFailTheirJobs(t *testing.T) {
 	// A campaign whose trials panic.
 	panicky := campaign.Spec{Base: harness.Spec{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: harness.Quick},
 		Trials: 2, Faults: 1, Seed: 1}
-	panicky.Base.Scale.DetectLatency = 0
+	tier.armed.Store(true)
 	errc := make(chan error, 1)
 	go func() {
 		_, err := srv.clusterCampaign(panicky, func(done, total int) {})
@@ -551,6 +575,7 @@ func TestFailingUnitsFailTheirJobs(t *testing.T) {
 	case <-time.After(time.Minute):
 		t.Fatal("panicking campaign still running after a minute")
 	}
+	tier.armed.Store(false)
 
 	// A sweep cell whose record cannot be stored.
 	cell, err := RunRequest{App: "FFT", Procs: 4, Scheme: "none"}.Spec(srv.cfg.Scale)

@@ -166,7 +166,7 @@ func TestExploreClusterByteIdentity(t *testing.T) {
 	srv, ts2 := newCoordinator(t, t.TempDir(), 0)
 	wctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	_, _, done := startWorker(t, wctx, ts2.URL, "explorer")
+	_, _, done := startWorker(t, wctx, ts2.URL, "explorer", nil)
 
 	fr, code := postExplore(t, ts2.URL, exploreBody)
 	if code != http.StatusAccepted && code != http.StatusOK {

@@ -43,7 +43,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -82,6 +81,10 @@ type Config struct {
 	// LeaseTTL overrides the cluster lease TTL; 0 selects
 	// cluster.DefaultLeaseTTL.
 	LeaseTTL time.Duration
+
+	// tier is the in-process worker's store tier; nil selects a
+	// cluster.LocalTier on Store. Tests inject failing tiers here.
+	tier cluster.Tier
 }
 
 // Server is the HTTP service. Create with New; it implements
@@ -107,13 +110,12 @@ type Server struct {
 	// Cluster state (cluster.go): the coordinator every sweep, campaign
 	// and exploration runs through, the in-process worker and its
 	// lifecycle plumbing.
-	coord          *cluster.Coordinator
-	worker         *cluster.Worker
-	workerStop     context.CancelFunc
-	workerDone     chan struct{}
-	workerDraining atomic.Bool
-	jobKick        chan struct{}
-	closeOnce      sync.Once
+	coord       *cluster.Coordinator
+	worker      *cluster.Worker
+	workerStop  context.CancelFunc // stops the worker outright
+	workerDrain context.CancelFunc // ends its waits between jobs
+	workerDone  chan struct{}
+	closeOnce   sync.Once
 
 	// Metrics, reported by /metrics. expvar types for atomicity; they
 	// are deliberately not Publish()ed to the process-global expvar map
@@ -186,7 +188,6 @@ func New(cfg Config) (*Server, error) {
 	s.exploreKind().register()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.jobKick = make(chan struct{}, 1)
 	if err := s.initCluster(); err != nil {
 		return nil, err
 	}
