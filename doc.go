@@ -47,9 +47,9 @@
 // POST /v1/sweeps (named figures or explicit spec lists),
 // GET /v1/runs/{key} (the stored record bytes served zero-copy, with
 // the content address as a permanent ETag), /healthz, /metrics — with
-// shared Spec.Validate request validation, singleflight deduplication
-// of identical in-flight Specs, a bounded admission queue, and
-// graceful shutdown.
+// shared Spec.Validate request validation, every simulation run as a
+// cluster coordinator job (an identical request in flight joins it),
+// a bounded admission queue, and graceful shutdown.
 //
 // The reliability layer is internal/campaign, the Monte Carlo
 // fault-campaign engine: it runs thousands of deterministic

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -119,7 +120,7 @@ func TestDirectWorkerCampaignByteIdentity(t *testing.T) {
 		{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: harness.Quick},
 		{App: "FFT", Procs: 4, Scheme: "none", Scale: harness.Quick},
 	}
-	sj, err := c.SubmitSweep(specs)
+	sj, _, err := c.SubmitSweep(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +288,9 @@ func TestWorkerDropsRunnersWhenIdle(t *testing.T) {
 	default:
 		t.Fatal("resubmitted campaign is not done at submission")
 	}
+	if n := again.Resumed(); n != spec.Trials {
+		t.Fatalf("resubmitted campaign resumed %d trials, want %d", n, spec.Trials)
+	}
 	if err := again.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,9 +377,12 @@ func TestUnitFailuresBelowLimitReLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := harness.Spec{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: harness.Quick}
-	j, err := c.SubmitSweep([]harness.Spec{cell})
-	if err != nil {
-		t.Fatal(err)
+	j, joined, err := c.SubmitSweep([]harness.Spec{cell})
+	if err != nil || joined {
+		t.Fatalf("SubmitSweep: joined=%v err=%v, want a new job", joined, err)
+	}
+	if again, joined, err := c.SubmitSweep([]harness.Spec{cell}); err != nil || !joined || again != j {
+		t.Fatalf("resubmission: joined=%v same job=%v err=%v, want it to join", joined, again == j, err)
 	}
 	wid := c.Join(JoinRequest{Name: "fake"}).WorkerID
 	key := store.KeyOf(cell)
@@ -402,5 +409,51 @@ func TestUnitFailuresBelowLimitReLease(t *testing.T) {
 	}
 	if resp := c.Lease(LeaseRequest{WorkerID: wid}); resp.Lease != nil || !resp.Idle {
 		t.Fatalf("lease after the job failed: %+v, want idle", resp)
+	}
+}
+
+// TestStrayFailureReportsAreIgnored: failure reports count only
+// against the units of the live lease that carries them. A report for
+// a unit outside the lease, and reports on a completion whose lease
+// does not exist, never fail the job; a worker then finishes it.
+func TestStrayFailureReportsAreIgnored(t *testing.T) {
+	st := openStore(t)
+	c, err := New(Config{Store: st, MaxChunk: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(8, 13)
+	j, err := c.SubmitCampaign(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wid := c.Join(JoinRequest{Name: "stray"}).WorkerID
+	resp := c.Lease(LeaseRequest{WorkerID: wid})
+	if resp.Lease == nil || !slices.Equal(resp.Lease.Indices, []int{0, 1}) {
+		t.Fatalf("lease = %+v, want trials [0 1]", resp.Lease)
+	}
+	stray := []UnitFailure{{Index: 5, Err: "not this lease's unit"}}
+	c.Complete(CompleteRequest{WorkerID: wid, LeaseID: resp.Lease.ID, Job: j.Key(), Failed: stray})
+	for i := 0; i < MaxUnitFailures-1; i++ {
+		c.Complete(CompleteRequest{WorkerID: wid, LeaseID: 999, Job: j.Key(), Failed: stray})
+	}
+	select {
+	case <-j.Done():
+		t.Fatalf("stray failure reports finished the job: %v", j.Err())
+	default:
+	}
+	j.mu.Lock()
+	fails := len(j.fails)
+	j.mu.Unlock()
+	if fails != 0 {
+		t.Fatalf("%d units carry failure counts, want 0", fails)
+	}
+
+	if err := newDirectWorker(t, c, st, "heir").Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	<-j.Done()
+	if err := j.Err(); err != nil {
+		t.Fatalf("job error = %v, want nil", err)
 	}
 }

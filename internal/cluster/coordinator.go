@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,6 +61,8 @@ type Job struct {
 
 	onProgress func(done, total int)
 
+	resumed int // units found done in the store at submission
+
 	mu    sync.Mutex
 	state []uint8
 	done  int
@@ -84,6 +87,10 @@ func (j *Job) Err() error {
 	defer j.mu.Unlock()
 	return j.err
 }
+
+// Resumed reports how many units were already done, found in the
+// store, when the job was submitted.
+func (j *Job) Resumed() int { return j.resumed }
 
 // Progress reports completed units out of total.
 func (j *Job) Progress() (done, total int) {
@@ -266,23 +273,25 @@ func (c *Coordinator) SubmitCampaign(spec campaign.Spec, onProgress func(done, t
 }
 
 // SubmitSweep registers the sweep cells for distributed execution and
-// returns its Job. Cells whose records are already stored are counted
-// done. Duplicate specs collapse into one unit.
-func (c *Coordinator) SubmitSweep(specs []harness.Spec) (*Job, error) {
-	j, err := sweepJob(specs)
-	if err != nil {
-		return nil, err
+// returns its Job; joined reports that the Job was already in flight.
+// Cells whose records are stored and read back intact are counted
+// done; a record that fails to decode or verify is re-run, which heals
+// it. Duplicate specs collapse into one unit.
+func (c *Coordinator) SubmitSweep(specs []harness.Spec) (j *Job, joined bool, err error) {
+	if j, err = sweepJob(specs); err != nil {
+		return nil, false, err
 	}
 	if existing := c.job(j.key); existing != nil {
-		return existing, nil
+		return existing, true, nil
 	}
 	for i, ck := range j.cellKeys {
-		if c.cfg.Store.Has(ck) {
+		if _, ok, err := c.cfg.Store.Get(ck); ok && err == nil {
 			j.state[i] = unitDone
 			j.done++
 		}
 	}
-	return c.install(j)
+	installed, err := c.install(j)
+	return installed, installed != j, err
 }
 
 // SweepInFlight reports whether a sweep over specs would join a job
@@ -329,6 +338,7 @@ func (c *Coordinator) job(key string) *Job {
 // submitters prepared the same key concurrently (first one wins).
 // A job with nothing left to do finishes immediately.
 func (c *Coordinator) install(j *Job) (*Job, error) {
+	j.resumed = j.done
 	c.mu.Lock()
 	if existing, ok := c.jobs[j.key]; ok {
 		c.mu.Unlock()
@@ -553,16 +563,19 @@ func (c *Coordinator) leasePayload(l *lease) *Lease {
 // the worker pushed is present and authentic — and the lease is
 // released. Claims for units another worker already completed are
 // skipped (idempotent retries); claims whose record is missing or
-// invalid return the unit to the pool, and so do reported failures,
-// each counted against MaxUnitFailures. An expired or unknown lease ID
-// is not an error: the claims are validated against the job directly,
-// so work finished just past its deadline still counts.
+// invalid return the unit to the pool, and so do reported failures of
+// the lease's own units, each counted against MaxUnitFailures. An
+// expired or unknown lease ID is not an error: the claims are
+// validated against the job the request names, so work finished just
+// past its deadline still counts, but its failure reports are ignored
+// (the reaper re-leases those units anyway).
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	c.mu.Lock()
 	c.touch(req.WorkerID)
-	var j *Job
+	j := c.jobs[req.Job]
+	var leased []int
 	if l, ok := c.leases[req.LeaseID]; ok {
-		j = l.job
+		j, leased = l.job, l.units
 		// Units the worker did not claim go straight back to todo.
 		claimed := make(map[int]bool, len(req.Indices))
 		for _, i := range req.Indices {
@@ -586,48 +599,22 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		if returned {
 			c.signalLocked()
 		}
-	} else {
-		// Lease already reaped: the claims still settle against the job
-		// named in the request — work finished just past its deadline
-		// counts, the records are validated like any other.
-		j = c.jobForClaims(req)
 	}
 	c.mu.Unlock()
 
 	accepted := 0
 	if j != nil {
-		accepted = c.settle(j, req)
+		accepted = c.settle(j, req, leased)
 	}
 	c.flushProgress()
 	return CompleteResponse{Accepted: accepted}
 }
 
-// jobForClaims locates the job a lease-less completion belongs to:
-// the job the request names, or — for requests from old workers that
-// left Job empty — a sweep job claiming one of the keys. Called with
-// c.mu held.
-func (c *Coordinator) jobForClaims(req CompleteRequest) *Job {
-	if j, ok := c.jobs[req.Job]; ok {
-		return j
-	}
-	for _, key := range c.order {
-		j := c.jobs[key]
-		if j == nil || j.kind != KindSweep {
-			continue
-		}
-		for _, k := range req.Keys {
-			if _, ok := j.byKey[k]; ok {
-				return j
-			}
-		}
-	}
-	return nil
-}
-
 // settle validates claimed units against the store and marks the valid
-// ones done. Runs outside c.mu (it reads the store); job state is
-// guarded by the job's own lock.
-func (c *Coordinator) settle(j *Job, req CompleteRequest) int {
+// ones done, then counts the failures reported for units in leased.
+// Runs outside c.mu (it reads the store); job state is guarded by the
+// job's own lock.
+func (c *Coordinator) settle(j *Job, req CompleteRequest, leased []int) int {
 	accepted := 0
 	switch j.kind {
 	case KindCampaign:
@@ -653,7 +640,7 @@ func (c *Coordinator) settle(j *Job, req CompleteRequest) int {
 		}
 	}
 	for _, f := range req.Failed {
-		if err := c.countFailure(j, f); err != nil {
+		if err := c.countFailure(j, f, leased); err != nil {
 			c.finishJob(j, err)
 			return accepted
 		}
@@ -664,18 +651,20 @@ func (c *Coordinator) settle(j *Job, req CompleteRequest) int {
 
 // countFailure counts one failure report against its unit and returns
 // the job's terminal error once the unit has failed MaxUnitFailures
-// times. A report for a unit already done, or for no unit of j, is
-// ignored.
-func (c *Coordinator) countFailure(j *Job, f UnitFailure) error {
-	u, ok := f.Index, f.Index >= 0 && f.Index < len(j.state)
-	name := fmt.Sprintf("trial %d", f.Index)
+// times. A report for a unit outside leased, or already done, is
+// ignored: a worker's reports never count against units it does not
+// hold.
+func (c *Coordinator) countFailure(j *Job, f UnitFailure, leased []int) error {
+	u, name := f.Index, fmt.Sprintf("trial %d", f.Index)
 	if j.kind == KindSweep {
-		u, ok = j.byKey[f.Key]
-		name = "cell " + f.Key
+		u, name = -1, "cell "+f.Key
+		if i, ok := j.byKey[f.Key]; ok {
+			u = i
+		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !ok || j.state[u] == unitDone {
+	if !slices.Contains(leased, u) || j.state[u] == unitDone {
 		return nil
 	}
 	if j.fails == nil {

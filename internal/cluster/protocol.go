@@ -122,7 +122,8 @@ type CompleteRequest struct {
 	Keys []string `json:"keys,omitempty"`
 	// Failed reports the leased units whose run or push failed. The
 	// coordinator leases such a unit again, and fails its job once the
-	// unit has failed MaxUnitFailures times.
+	// unit has failed MaxUnitFailures times. Only the units of the live
+	// lease LeaseID count; a completion past its lease reports none.
 	Failed []UnitFailure `json:"failed,omitempty"`
 }
 

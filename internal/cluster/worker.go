@@ -103,8 +103,8 @@ type WorkerConfig struct {
 	// asks again right after an empty answer.
 	Poll time.Duration
 	// ExitOnIdle makes Run return nil when the coordinator reports no
-	// jobs at all — the in-process worker of every reboundd uses
-	// it to release the local execution slots between jobs.
+	// jobs at all — the in-process worker of every reboundd uses it,
+	// and waits for the next job outside Run.
 	ExitOnIdle bool
 	// Logf, if set, observes worker-side failures (a trial that
 	// panicked, a push that exhausted its retries). The worker carries

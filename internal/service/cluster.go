@@ -1,13 +1,14 @@
 package service
 
-// The cluster coordinator. Every sweep, campaign and exploration the
-// server accepts is a coordinator job, partitioned into leases. The
-// server always runs one in-process worker (cluster.Direct + LocalTier
-// on the shared store), so a server with no remote workers still
-// completes every job: that is RoleSingle, a coordinator whose fleet is
-// its own worker. With Config.Role == RoleCoordinator the server also
-// mounts the cluster surface remote workers join through, on top of
-// the unchanged public API:
+// The cluster coordinator. Every simulation the server runs (a run
+// miss, a sweep, a campaign, an exploration's evaluations) is part of
+// a coordinator job, partitioned into leases. The server always runs
+// one in-process worker (cluster.Direct + LocalTier on the shared
+// store), so a server with no remote workers still completes every
+// job: that is RoleSingle, a coordinator whose fleet is its own
+// worker. With Config.Role == RoleCoordinator the server also mounts
+// the cluster surface remote workers join through, on top of the
+// unchanged public API:
 //
 //	POST /v1/cluster/join        worker registration
 //	POST /v1/cluster/lease       work-stealing lease pull (long poll)
@@ -34,7 +35,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cluster"
-	"repro/internal/harness"
 	"repro/internal/store"
 )
 
@@ -71,9 +71,8 @@ func (s *Server) initCluster() error {
 
 	// The in-process worker: the coordinator's own share of the fleet.
 	// It executes leases on the server's runner through the local store
-	// tier, holding every concurrency slot while it runs (acquireAll)
-	// so machine-wide simulation concurrency stays at the runner's
-	// width.
+	// tier, one lease at a time fanned out across the runner's pool, so
+	// machine-wide simulation concurrency stays at the runner's width.
 	tier := s.cfg.tier
 	if tier == nil {
 		tier = &cluster.LocalTier{St: s.cfg.Store}
@@ -101,20 +100,17 @@ func (s *Server) initCluster() error {
 }
 
 // runLocalWorker loops the in-process worker: wait for the coordinator
-// to have work, take every concurrency slot, run leases until the
-// cluster is idle again (ExitOnIdle), release. Holding the slots only
-// while jobs exist keeps HTTP-path runs from being starved by an idle
-// cluster. Inside Run the worker's lease requests wait on the
-// coordinator (LeaseWait), so it takes a unit the moment one becomes
-// claimable; between jobs waitForJobs waits on the same change signal.
-// ctx stops the worker outright; idle, cancelled by DrainCluster, ends
-// only the waits between jobs.
+// to have work, then run leases until the cluster is idle again
+// (ExitOnIdle), where the worker drops its cached campaign runners at
+// once instead of pinning their warmed machines until the next job.
+// Inside Run the worker's lease requests wait on the coordinator
+// (LeaseWait), so it takes a unit the moment one becomes claimable;
+// between jobs waitForJobs waits on the same change signal. ctx stops
+// the worker outright; idle, cancelled by DrainCluster, ends only the
+// waits between jobs.
 func (s *Server) runLocalWorker(ctx, idle context.Context) {
 	for s.waitForJobs(idle) {
-		release := s.acquireAll()
-		err := s.worker.Run(ctx)
-		release()
-		if err != nil || idle.Err() != nil {
+		if err := s.worker.Run(ctx); err != nil || idle.Err() != nil {
 			return
 		}
 	}
@@ -277,32 +273,6 @@ func (s *Server) handleStoreRunPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- cluster-routed execution ----------------------------------------------
-
-// awaitSweep waits for the sweep job j over specs and returns their records, read back from the store in
-// spec order. ctx's cancellation abandons the wait, not the job: the
-// job runs on, and a re-request joins it.
-func (s *Server) awaitSweep(ctx context.Context, j *cluster.Job, specs []harness.Spec) ([]*store.Record, error) {
-	select {
-	case <-j.Done():
-		if err := j.Err(); err != nil {
-			return nil, err
-		}
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	recs := make([]*store.Record, len(specs))
-	for i, spec := range specs {
-		rec, ok, err := s.cfg.Store.GetSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("service: sweep cell %s completed but stored no record", store.KeyOf(spec))
-		}
-		recs[i] = rec
-	}
-	return recs, nil
-}
 
 // clusterCampaign runs one campaign through the coordinator and
 // returns the assembled report — the byte-identical artifact the

@@ -64,12 +64,18 @@ func awaitJoin(t *testing.T, w *cluster.Worker) {
 // TestClusterRemoteWorkerWakesOnSubmit: with a 15 s lease TTL (a
 // 3.75 s wait cap) a remote worker long-polling an idle coordinator
 // takes a campaign submitted mid-wait at once, and Drain ends its next
-// wait at once. The in-process worker is kept out until the lease is
-// granted (its slots are held), so its trials do not compete with the
-// measured wake for the CPU.
+// wait at once. The in-process worker is held until the lease is
+// granted (holdWorker), so its trials do not compete with the measured
+// wake for the CPU.
 func TestClusterRemoteWorkerWakesOnSubmit(t *testing.T) {
-	srv, ts := newCoordinator(t, t.TempDir(), 15*time.Second)
-	release := holdRunner(srv)
+	var release func()
+	srv := newServer(t, t.TempDir(), func(cfg *Config) {
+		cfg.Role = RoleCoordinator
+		cfg.LeaseTTL = 15 * time.Second
+		release = holdWorker(cfg)
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

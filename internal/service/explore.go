@@ -91,7 +91,8 @@ func (s *Server) exploreKind() *jobKind[ExploreRequest, explore.Spec, explore.Fr
 
 // clusterEvaluator routes an exploration's cell evaluations through
 // the cluster coordinator: campaigns down the same submission path
-// /v1/campaigns uses, fault-free runs as one-cell sweep jobs. Both
+// /v1/campaigns uses, fault-free runs as one-cell sweep jobs through
+// the runCells path /v1/runs uses. Both
 // persist through the shared store before returning, so the records an
 // exploration reads are byte-identical no matter which worker computed
 // them.
@@ -105,11 +106,7 @@ func (ce *clusterEvaluator) Run(ctx context.Context, spec harness.Spec) (harness
 	if rec, ok, _ := ce.s.cfg.Store.GetSpec(spec); ok {
 		return rec.Result(), nil
 	}
-	j, err := ce.s.coord.SubmitSweep([]harness.Spec{spec})
-	if err != nil {
-		return harness.Result{}, err
-	}
-	recs, err := ce.s.awaitSweep(ctx, j, []harness.Spec{spec})
+	recs, _, _, err := ce.s.runCells(ctx, []harness.Spec{spec}, true)
 	if err != nil {
 		return harness.Result{}, err
 	}

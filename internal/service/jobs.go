@@ -74,8 +74,7 @@ type jobKind[Q jobRequest[S], S, R any] struct {
 	start func(S) int
 	total func(*R) int
 	// run executes one job to completion through the coordinator,
-	// reporting unit progress; the in-process worker's loop admits its
-	// leases.
+	// reporting unit progress.
 	run func(spec S, onProgress func(done, total int)) (*R, error)
 
 	started, running, unitsDone *expvar.Int

@@ -20,8 +20,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
+	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/retry"
+	"repro/internal/store"
 )
 
 // smallCampaign is a two-trial campaign that finishes in about a
@@ -139,30 +142,54 @@ func TestJobMalformedKeyIs404(t *testing.T) {
 	}
 }
 
-// holdRunner holds every concurrency slot until the returned func is
-// called: a submitted job is admitted and running, but the in-process
-// worker cannot take the slots to run its leases.
-func holdRunner(srv *Server) (release func()) {
-	for i := 0; i < cap(srv.slots); i++ {
-		srv.slots <- struct{}{}
-	}
+// heldTier is the in-process worker's LocalTier, except that every
+// snapshot read and record write waits until gate is closed.
+type heldTier struct {
+	cluster.LocalTier
+	gate chan struct{}
+}
+
+func (t *heldTier) GetSnapshot(key string) ([]byte, bool, error) {
+	<-t.gate
+	return t.LocalTier.GetSnapshot(key)
+}
+
+func (t *heldTier) PutSnapshot(key string, payload []byte) error {
+	<-t.gate
+	return t.LocalTier.PutSnapshot(key, payload)
+}
+
+func (t *heldTier) PutTrial(key string, i int, tr *campaign.Trial) error {
+	<-t.gate
+	return t.LocalTier.PutTrial(key, i, tr)
+}
+
+func (t *heldTier) PutRecord(rec *store.Record) error {
+	<-t.gate
+	return t.LocalTier.PutRecord(rec)
+}
+
+// holdWorker holds the in-process worker of the server built from cfg
+// until the returned func is called: a submitted job is admitted and
+// its units are leased, but none completes, because the worker waits
+// at its first store access. Call it from newServer's mutate func.
+func holdWorker(cfg *Config) (release func()) {
+	tier := &heldTier{LocalTier: cluster.LocalTier{St: cfg.Store}, gate: make(chan struct{})}
+	cfg.tier = tier
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			for i := 0; i < cap(srv.slots); i++ {
-				<-srv.slots
-			}
-		})
-	}
+	return func() { once.Do(func() { close(tier.gate) }) }
 }
 
 // TestJobAdmissionIsSharedAcrossKinds fills QueueDepth 1 with a
 // running campaign; an exploration must then be turned away.
 func TestJobAdmissionIsSharedAcrossKinds(t *testing.T) {
-	srv := newServer(t, t.TempDir(), func(cfg *Config) { cfg.QueueDepth = 1 })
+	var release func()
+	srv := newServer(t, t.TempDir(), func(cfg *Config) {
+		cfg.QueueDepth = 1
+		release = holdWorker(cfg)
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	release := holdRunner(srv)
 	defer release()
 
 	cr, code := postCampaign(t, ts, smallCampaign)
@@ -181,10 +208,10 @@ func TestJobAdmissionIsSharedAcrossKinds(t *testing.T) {
 // campaign: both answer with the one job's key, and only one campaign
 // starts.
 func TestConcurrentIdenticalPostsJoinOneJob(t *testing.T) {
-	srv := newServer(t, t.TempDir(), nil)
+	var release func()
+	srv := newServer(t, t.TempDir(), func(cfg *Config) { release = holdWorker(cfg) })
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	release := holdRunner(srv)
 	defer release()
 
 	var wg sync.WaitGroup

@@ -3,9 +3,10 @@
 // sweep requests behind a bounded admission queue, persists every
 // result in the content-addressed store, and serves repeated requests
 // from that store without re-simulating — across process restarts.
-// A single run simulates on the request path; every sweep, campaign
-// and exploration runs through the cluster coordinator and its
-// in-process worker (cluster.go), whatever the server's role.
+// Every simulation runs as a job of the cluster coordinator, executed
+// by its in-process worker and any remote workers (cluster.go),
+// whatever the server's role: a run miss is a one-cell sweep job, and
+// every sweep, campaign and exploration is a job too.
 //
 // Endpoints:
 //
@@ -22,11 +23,10 @@
 //	GET  /metrics             expvar counters (cache, queue, in-flight,
 //	                          job progress)
 //
-// Request validation goes through harness.Spec.Validate, identical
-// in-flight Specs are deduplicated (singleflight: the second request
-// waits for the first simulation instead of taking a queue slot), and
-// a request whose context is cancelled while queued frees its slot
-// without starting the cell.
+// Request validation goes through harness.Spec.Validate. A run miss is
+// a one-cell coordinator job: an identical request in flight joins it
+// instead of starting another, and a cancelled request leaves it
+// running, so a re-request joins it.
 //
 // Campaigns and explorations are background jobs with one lifecycle
 // and one admission queue (jobs.go); SubmitAndPoll is their client.
@@ -59,24 +59,16 @@ type Config struct {
 	// Scale is the default experiment scale for requests that do not
 	// name one (harness.Quick or harness.Full).
 	Scale harness.Scale
-	// MaxConcurrent bounds how many admitted single-run jobs simulate
-	// at once; <= 0 selects the runner's worker count. The in-process
-	// worker fans sweep cells and campaign trials out across the
-	// runner's full worker pool, so while the coordinator has jobs it
-	// holds every slot, keeping the machine-wide simulation concurrency
-	// at the runner's width.
-	MaxConcurrent int
 	// QueueDepth bounds two things, each answering 503 when full: the
-	// waiting room (single runs waiting for a slot, and sweep jobs
-	// started by a request until they are done) and the running
-	// background jobs. <= 0 selects 64.
+	// waiting room (the run and sweep jobs requests started, each until
+	// it is done) and the running background jobs. <= 0 selects 64.
 	QueueDepth int
-	// Role selects the cluster surface the server mounts. Every sweep,
-	// campaign and exploration runs through the cluster coordinator in
-	// either role; RoleSingle (default) is a coordinator with no remote
-	// workers and no cluster routes, RoleCoordinator also serves the
-	// cluster protocol and store-proxy routes remote workers join
-	// through (cluster.go).
+	// Role selects the cluster surface the server mounts. Every
+	// simulation runs through the cluster coordinator in either role;
+	// RoleSingle (default) is a coordinator with no remote workers and
+	// no cluster routes, RoleCoordinator also serves the cluster
+	// protocol and store-proxy routes remote workers join through
+	// (cluster.go).
 	Role string
 	// LeaseTTL overrides the cluster lease TTL; 0 selects
 	// cluster.DefaultLeaseTTL.
@@ -92,12 +84,8 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
-	slots chan struct{} // concurrency slots, cap MaxConcurrent
 	waitq chan struct{} // waiting-room tokens, cap QueueDepth
 	start time.Time
-
-	mu     sync.Mutex
-	flight map[string]*call
 
 	// Background jobs (jobs.go): running and failed campaigns and
 	// explorations under one lock, so admission counts every kind
@@ -122,9 +110,8 @@ type Server struct {
 	// so multiple Servers (tests) can coexist.
 	cacheHits   expvar.Int // requests answered from the store
 	cacheMisses expvar.Int // requests that had to simulate
-	dedups      expvar.Int // requests that joined an in-flight simulation
-	inFlight    expvar.Int // jobs holding a slot right now
-	queued      expvar.Int // jobs waiting for a slot right now
+	dedups      expvar.Int // runs that joined an identical run in flight
+	queued      expvar.Int // waiting-room tokens held right now
 	runsTotal   expvar.Int
 	sweepsTotal expvar.Int
 	storeErrors expvar.Int // corrupt/unreadable records healed by re-run
@@ -140,13 +127,6 @@ type Server struct {
 	exploreCellsFromStore expvar.Int // cells served from the shared cells namespace
 }
 
-// call is one in-flight simulation; requests for the same Spec share it.
-type call struct {
-	done chan struct{}
-	rec  *store.Record
-	err  error
-}
-
 var errQueueFull = errors.New("service: job queue full")
 
 // New returns a ready-to-serve Server.
@@ -156,9 +136,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Scale.InstrPerProc == 0 {
 		cfg.Scale = harness.Full
-	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = cfg.Runner.Workers()
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -173,10 +150,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
-		slots:     make(chan struct{}, cfg.MaxConcurrent),
 		waitq:     make(chan struct{}, cfg.QueueDepth),
 		start:     time.Now(),
-		flight:    make(map[string]*call),
 		jobs:      make(map[string]*job),
 		loader:    campaign.New(cfg.Runner, cfg.Store),
 		expLoader: explore.New(nil, cfg.Store),
@@ -243,8 +218,8 @@ func (rr RunRequest) Spec(def harness.Scale) (harness.Spec, error) {
 type RunResponse struct {
 	Key string `json:"key"`
 	// Cached is true when the result came from the persistent store
-	// (no simulation ran for this request); Deduped when it shared
-	// another request's in-flight simulation.
+	// (no simulation ran for this request); Deduped when it joined the
+	// job of an identical request in flight.
 	Cached  bool          `json:"cached"`
 	Deduped bool          `json:"deduped,omitempty"`
 	Record  *store.Record `json:"record"`
@@ -281,7 +256,7 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// --- admission queue -------------------------------------------------------
+// --- admission and execution ----------------------------------------------
 
 // waitRoom takes a waiting-room token without blocking and returns
 // its release func. The buffered channel enforces the bound
@@ -297,182 +272,104 @@ func (s *Server) waitRoom() (func(), error) {
 	return func() { s.queued.Add(-1); <-s.waitq }, nil
 }
 
-// enter takes a concurrency slot, waiting in the bounded waiting room
-// if none is free. It fails with errQueueFull when the waiting room is
-// full, or with ctx's error when ctx is cancelled while waiting — in
-// both cases holding nothing (a cancelled request frees its place in
-// line immediately).
-func (s *Server) enter(ctx context.Context) error {
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	leave, err := s.waitRoom()
-	if err != nil {
-		return err
-	}
-	defer leave()
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// acquire admits one job: it takes a concurrency slot (see enter) and
-// returns the release func.
-func (s *Server) acquire(r *http.Request) (func(), error) {
-	ctx := r.Context()
-	if err := s.enter(ctx); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		<-s.slots
-		return nil, err
-	}
-	s.inFlight.Add(1)
-	return func() { <-s.slots; s.inFlight.Add(-1) }, nil
-}
-
-// submitSweep submits the missing cells of a sweep request to the
-// coordinator. A sweep that starts a new job takes a waiting-room
+// submitSweep submits a request's cells to the coordinator as one
+// sweep job. A request that starts a new job takes a waiting-room
 // token without blocking (a full room is errQueueFull), and the job
 // holds it until it is done: a client that drops its request cannot
-// pile up jobs beyond QueueDepth. A sweep that joins a job already in
-// flight adds no work and takes no token.
-func (s *Server) submitSweep(specs []harness.Spec) (*cluster.Job, error) {
+// pile up jobs beyond QueueDepth. A request that joins a job already
+// in flight adds no work and takes no token.
+func (s *Server) submitSweep(specs []harness.Spec) (*cluster.Job, bool, error) {
 	if s.coord.SweepInFlight(specs) {
 		return s.coord.SubmitSweep(specs)
 	}
 	leave, err := s.waitRoom()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	j, err := s.coord.SubmitSweep(specs)
-	if err != nil {
+	j, joined, err := s.coord.SubmitSweep(specs)
+	if err != nil || joined {
 		leave()
-		return nil, err
+		return j, joined, err
 	}
 	go func() {
 		<-j.Done()
 		leave()
 	}()
-	return j, nil
+	return j, false, nil
 }
 
-// acquireAll admits the in-process worker while the coordinator has
-// jobs: it waits for and drains every concurrency slot, so the leases
-// it fans out across the runner's full pool keep machine-wide
-// simulation concurrency at the runner's width. The worker is the only
-// holder of more than one slot, so no two drainers can deadlock
-// holding half the slots each; admission control happened when the
-// jobs were submitted, so there is no waiting-room bound here.
-func (s *Server) acquireAll() func() {
-	for i := 0; i < cap(s.slots); i++ {
-		s.slots <- struct{}{}
+// runCells runs specs as one coordinator sweep job and returns their
+// records, read back from the store in spec order, with the job and
+// whether the submission joined it in flight. A request's job is
+// admitted through the waiting room (submitSweep); an exploration's
+// cells were admitted with their exploration, so admitted skips it.
+// A request already cancelled starts nothing. Otherwise ctx's
+// cancellation abandons the wait, not the job: the job runs on, and a
+// re-request joins it.
+func (s *Server) runCells(ctx context.Context, specs []harness.Spec, admitted bool) (recs []*store.Record, j *cluster.Job, joined bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, false, err
 	}
-	s.inFlight.Add(1)
-	return func() {
-		for i := 0; i < cap(s.slots); i++ {
-			<-s.slots
-		}
-		s.inFlight.Add(-1)
+	submit := s.submitSweep
+	if admitted {
+		submit = s.coord.SubmitSweep
 	}
-}
-
-// --- core run path ---------------------------------------------------------
-
-// runOne serves one validated spec: store first, then singleflight
-// deduplication against identical in-flight specs, then an admitted
-// simulation whose result is persisted before anyone sees it.
-func (s *Server) runOne(r *http.Request, spec harness.Spec) (RunResponse, error) {
-	key := store.KeyOf(spec)
-	var c *call
-	for c == nil {
-		rec, ok, err := s.cfg.Store.Get(key)
-		if ok {
-			s.cacheHits.Add(1)
-			return RunResponse{Key: key, Cached: true, Record: rec}, nil
+	if j, joined, err = submit(specs); err != nil {
+		return nil, nil, false, err
+	}
+	select {
+	case <-j.Done():
+		if err := j.Err(); err != nil {
+			return nil, nil, false, err
 		}
+	case <-ctx.Done():
+		return nil, nil, false, ctx.Err()
+	}
+	recs = make([]*store.Record, len(specs))
+	for i, spec := range specs {
+		rec, ok, err := s.cfg.Store.GetSpec(spec)
 		if err != nil {
-			// A record that exists but cannot be decoded/verified is
-			// healed by re-simulating and overwriting it.
-			s.storeErrors.Add(1)
+			return nil, nil, false, err
 		}
-
-		s.mu.Lock()
-		if existing, ok := s.flight[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-existing.done:
-				if existing.err == nil {
-					s.dedups.Add(1)
-					return RunResponse{Key: key, Deduped: true, Record: existing.rec}, nil
-				}
-				if errors.Is(existing.err, context.Canceled) ||
-					errors.Is(existing.err, context.DeadlineExceeded) {
-					// The executor's own client went away before its
-					// cell ran; that is its failure, not ours. Go
-					// around again (store, new flight, or become the
-					// executor ourselves).
-					continue
-				}
-				return RunResponse{}, existing.err
-			case <-r.Context().Done():
-				return RunResponse{}, r.Context().Err()
-			}
+		if !ok {
+			return nil, nil, false, fmt.Errorf("service: sweep cell %s completed but stored no record", store.KeyOf(spec))
 		}
-		c = &call{done: make(chan struct{})}
-		s.flight[key] = c
-		s.mu.Unlock()
+		recs[i] = rec
 	}
+	return recs, j, joined, nil
+}
 
-	// Executor path. The completion bookkeeping is deferred so a panic
-	// anywhere below still releases the flight entry and wakes joiners
-	// (net/http recovers handler panics, so the process would survive
-	// with the key wedged otherwise).
-	defer func() {
-		if c.rec == nil && c.err == nil {
-			// Unwinding from a panic: joiners must not observe a
-			// successful call with no record.
-			c.err = errors.New("service: simulation aborted")
-		}
-		s.mu.Lock()
-		delete(s.flight, key)
-		s.mu.Unlock()
-		close(c.done)
-	}()
-	// Double-check the store now that the flight entry is claimed:
-	// another executor may have completed (Put, then left the flight
-	// map) between our store miss above and the claim, and simulating
-	// again would misreport a cached cell as fresh.
-	if rec, ok, _ := s.cfg.Store.Get(key); ok {
+// runOne serves one validated spec from the store or, on a miss, as a
+// one-cell sweep job. The response is Deduped when the request joined
+// an identical request's job, and Cached when the job it started found
+// the cell stored after all (another request stored it in between).
+func (s *Server) runOne(ctx context.Context, spec harness.Spec) (RunResponse, error) {
+	key := store.KeyOf(spec)
+	rec, ok, err := s.cfg.Store.Get(key)
+	if ok {
 		s.cacheHits.Add(1)
-		c.rec = rec
 		return RunResponse{Key: key, Cached: true, Record: rec}, nil
 	}
-	c.rec, c.err = s.simulate(r, spec)
-	if c.err != nil {
-		return RunResponse{}, c.err
-	}
-	s.cacheMisses.Add(1)
-	return RunResponse{Key: key, Record: c.rec}, nil
-}
-
-// simulate admits, runs and persists one cell.
-func (s *Server) simulate(r *http.Request, spec harness.Spec) (*store.Record, error) {
-	release, err := s.acquire(r)
 	if err != nil {
-		return nil, err
+		// A record that exists but cannot be decoded/verified is
+		// healed by re-simulating and overwriting it.
+		s.storeErrors.Add(1)
 	}
-	defer release()
-	res, err := s.cfg.Runner.RunOne(r.Context(), spec)
+	recs, j, joined, err := s.runCells(ctx, []harness.Spec{spec}, false)
 	if err != nil {
-		return nil, err
+		return RunResponse{}, err
 	}
-	return s.cfg.Store.PutResult(res)
+	resp := RunResponse{Key: key, Deduped: joined, Record: recs[0]}
+	switch {
+	case joined:
+		s.dedups.Add(1)
+	case j.Resumed() > 0:
+		s.cacheHits.Add(1)
+		resp.Cached = true
+	default:
+		s.cacheMisses.Add(1)
+	}
+	return resp, nil
 }
 
 // --- handlers --------------------------------------------------------------
@@ -488,7 +385,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.runOne(r, spec)
+	resp, err := s.runOne(r.Context(), spec)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -597,7 +494,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSweep serves every cell of a sweep: stored cells from the store,
-// the rest simulated as one admitted coordinator job, each result
+// the rest simulated as one coordinator job (runCells), each result
 // persisted before the response is assembled.
 func (s *Server) runSweep(r *http.Request, figure string, sc harness.Scale, specs []harness.Spec) (*SweepResponse, error) {
 	recs := make(map[string]*store.Record, len(specs))
@@ -624,13 +521,7 @@ func (s *Server) runSweep(r *http.Request, figure string, sc harness.Scale, spec
 	}
 
 	if len(missing) > 0 {
-		// The coordinator runs the missing cells: the in-process worker
-		// plus whatever remote workers have joined.
-		j, err := s.submitSweep(missing)
-		if err != nil {
-			return nil, err
-		}
-		fresh, err := s.awaitSweep(r.Context(), j, missing)
+		fresh, _, _, err := s.runCells(r.Context(), missing, false)
 		if err != nil {
 			return nil, err
 		}
@@ -673,7 +564,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	cm := s.coord.Metrics()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"cache_hits": %s, "cache_misses": %s, "dedups": %s, `+
-		`"in_flight": %s, "queue_waiting": %s, "queue_capacity": %d, `+
+		`"in_flight": %d, "queue_waiting": %s, "queue_capacity": %d, `+
 		`"max_concurrent": %d, "runs_total": %s, "sweeps_total": %s, `+
 		`"campaigns_total": %s, "campaigns_running": %s, "campaign_trials_done": %s, `+
 		`"explores_total": %s, "explores_running": %s, "explore_cells_done": %s, `+
@@ -682,8 +573,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		`"role": %q, "workers_joined": %d, "live_workers": %d, "leases_active": %d, `+
 		`"leases_expired": %d, "trials_remote_total": %d, "cells_remote_total": %d}`+"\n",
 		s.cacheHits.String(), s.cacheMisses.String(), s.dedups.String(),
-		s.inFlight.String(), s.queued.String(), s.cfg.QueueDepth,
-		s.cfg.MaxConcurrent, s.runsTotal.String(), s.sweepsTotal.String(),
+		s.coord.Jobs(), s.queued.String(), s.cfg.QueueDepth,
+		s.cfg.Runner.Workers(), s.runsTotal.String(), s.sweepsTotal.String(),
 		s.campaignsTotal.String(), s.campaignsRunning.String(), s.campaignTrialsDone.String(),
 		s.exploresTotal.String(), s.exploresRunning.String(), s.exploreCellsDone.String(),
 		s.exploreCellsEvaluated.String(), s.exploreCellsFromStore.String(),

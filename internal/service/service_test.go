@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -199,13 +201,26 @@ func TestInvalidSpecIs400(t *testing.T) {
 	}
 }
 
+// awaitIdle waits until srv has no coordinator job in flight and no
+// waiting-room token held. A job releases its token just after it is
+// done, so a response can arrive a moment before the release.
+func awaitIdle(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.coord.Jobs() != 0 || len(srv.waitq) != 0 || srv.queued.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("leaked: %d coordinator jobs, %d waiting-room tokens, queue_waiting %d",
+				srv.coord.Jobs(), len(srv.waitq), srv.queued.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestCancelledRequestFreesQueueSlot(t *testing.T) {
-	// One worker slot, no waiting room: the cancelled request must not
-	// leak the slot, or the follow-up request would 503.
-	srv := newServer(t, t.TempDir(), func(cfg *Config) {
-		cfg.MaxConcurrent = 1
-		cfg.QueueDepth = 1
-	})
+	// A waiting room of one: a request cancelled before it is served
+	// must start no job and leak no token, or the follow-up request
+	// would join a job or 503.
+	srv := newServer(t, t.TempDir(), func(cfg *Config) { cfg.QueueDepth = 1 })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -217,13 +232,13 @@ func TestCancelledRequestFreesQueueSlot(t *testing.T) {
 		t.Fatalf("cancelled request: %d, want 503", rw.Code)
 	}
 
-	// The slot is free: an identical live request simulates normally.
+	// The room is free: an identical live request simulates normally.
 	body = bytes.NewBufferString(`{"app":"FFT","procs":4,"scheme":"Rebound"}`)
 	req = httptest.NewRequest("POST", "/v1/runs", body)
 	rw = httptest.NewRecorder()
 	srv.ServeHTTP(rw, req)
 	if rw.Code != http.StatusOK {
-		t.Fatalf("follow-up request: %d (%s), want 200 — queue slot leaked?",
+		t.Fatalf("follow-up request: %d (%s), want 200 — waiting-room token leaked?",
 			rw.Code, rw.Body.String())
 	}
 	var resp RunResponse
@@ -233,12 +248,7 @@ func TestCancelledRequestFreesQueueSlot(t *testing.T) {
 	if resp.Cached || resp.Record.Cycles == 0 {
 		t.Fatalf("follow-up should have simulated fresh: %+v", resp)
 	}
-	if got := srv.inFlight.Value(); got != 0 {
-		t.Fatalf("in_flight = %d after requests finished, want 0", got)
-	}
-	if got := srv.queued.Value(); got != 0 {
-		t.Fatalf("queue_waiting = %d after requests finished, want 0", got)
-	}
+	awaitIdle(t, srv)
 }
 
 func TestSweepExplicitSpecsAndStoreReuse(t *testing.T) {
@@ -285,13 +295,10 @@ func TestSweepExplicitSpecsAndStoreReuse(t *testing.T) {
 }
 
 func TestConcurrentSweepsAndRunsDoNotDeadlock(t *testing.T) {
-	// The in-process worker running the sweeps drains every
-	// concurrency slot; interleaved sweeps and single runs must all
-	// complete.
-	srv := newServer(t, t.TempDir(), func(cfg *Config) {
-		cfg.MaxConcurrent = 2
-		cfg.QueueDepth = 16
-	})
+	// Interleaved sweeps and single runs are all coordinator jobs of
+	// the one in-process worker; they must all complete, and leave no
+	// job or waiting-room token behind.
+	srv := newServer(t, t.TempDir(), func(cfg *Config) { cfg.QueueDepth = 16 })
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -319,12 +326,7 @@ func TestConcurrentSweepsAndRunsDoNotDeadlock(t *testing.T) {
 			t.Fatalf("request %d: status %d", i, code)
 		}
 	}
-	if got := srv.inFlight.Value(); got != 0 {
-		t.Fatalf("in_flight = %d after all requests, want 0", got)
-	}
-	if len(srv.slots) != 0 || len(srv.waitq) != 0 {
-		t.Fatalf("slots/waiting room leaked: %d/%d", len(srv.slots), len(srv.waitq))
-	}
+	awaitIdle(t, srv)
 }
 
 // TestSweepAdmissionBound: a sweep that starts a coordinator job takes
@@ -333,10 +335,13 @@ func TestConcurrentSweepsAndRunsDoNotDeadlock(t *testing.T) {
 // after the first request was cancelled, while a re-POST of the first
 // joins its job without a token.
 func TestSweepAdmissionBound(t *testing.T) {
-	srv := newServer(t, t.TempDir(), func(cfg *Config) { cfg.QueueDepth = 1 })
+	var release func()
+	srv := newServer(t, t.TempDir(), func(cfg *Config) {
+		cfg.QueueDepth = 1
+		release = holdWorker(cfg)
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	release := holdRunner(srv)
 	defer release()
 
 	const first = `{"specs":[{"app":"FFT","procs":4,"scheme":"Rebound"}]}`
@@ -497,7 +502,7 @@ func TestSweepFig62PersistsAcrossRestart(t *testing.T) {
 }
 
 func TestDedupJoinsInFlightSimulation(t *testing.T) {
-	srv := newServer(t, t.TempDir(), func(cfg *Config) { cfg.MaxConcurrent = 4 })
+	srv := newServer(t, t.TempDir(), nil)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -551,6 +556,59 @@ func TestDedupJoinsInFlightSimulation(t *testing.T) {
 	}
 	if srv.cfg.Runner.CachedRuns() != 1 {
 		t.Fatalf("runner simulated %d cells, want 1", srv.cfg.Runner.CachedRuns())
+	}
+}
+
+// TestCorruptRecordHeals: a stored record that exists but fails to
+// decode is a miss, whether a sweep or a run asks for it: the cell is
+// simulated again, and its record is overwritten with a verified one.
+func TestCorruptRecordHeals(t *testing.T) {
+	dir := t.TempDir()
+	sweepCell := RunRequest{App: "FFT", Procs: 4, Scheme: "Rebound"}
+	runCell := RunRequest{App: "FFT", Procs: 4, Scheme: "none"}
+	var keys []string
+	for _, rr := range []RunRequest{sweepCell, runCell} {
+		spec, err := rr.Spec(harness.Quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, store.KeyOf(spec))
+		if err := os.WriteFile(filepath.Join(dir, store.KeyOf(spec)+".json"), []byte(`{"key":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := newServer(t, dir, nil)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := ts.Client()
+
+	var sweep SweepResponse
+	if code, body := do(t, c, "POST", ts.URL+"/v1/sweeps", SweepRequest{Specs: []RunRequest{sweepCell}}, &sweep); code != 200 {
+		t.Fatalf("sweep over a corrupt record: %d %s", code, body)
+	}
+	if sweep.Cached != 0 || sweep.Cells[0].Cached || sweep.Cells[0].Cycles == 0 {
+		t.Fatalf("sweep over a corrupt record was not simulated: %+v", sweep)
+	}
+	var run RunResponse
+	if code, body := do(t, c, "POST", ts.URL+"/v1/runs", runCell, &run); code != 200 {
+		t.Fatalf("run over a corrupt record: %d %s", code, body)
+	}
+	if run.Cached || run.Record == nil || run.Record.Cycles == 0 {
+		t.Fatalf("run over a corrupt record was not simulated: %+v", run)
+	}
+
+	// Both records on disk now decode and verify, in a fresh store too.
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if _, ok, err := st.Get(key); !ok || err != nil {
+			t.Fatalf("record %s after healing: ok=%v err=%v", key, ok, err)
+		}
+	}
+	if n := metricsMap(t, ts.URL)["store_errors"].(float64); n != 2 {
+		t.Fatalf("store_errors = %v, want 2", n)
 	}
 }
 
