@@ -42,7 +42,7 @@
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: in-flight requests
 // finish (bounded by -drain), new ones are refused. A worker drains by
-// finishing its current lease and reporting it; anything it cannot
+// finishing its current leases and reporting them; anything it cannot
 // report is re-issued by the coordinator at lease expiry and the
 // already-pushed records are recognized, never re-run.
 package main
@@ -137,7 +137,7 @@ func main() {
 	}
 
 	log.Printf("reboundd: shutting down (drain %s)", *drain)
-	// Finish the in-process worker's current lease before refusing
+	// Finish the in-process worker's current leases before refusing
 	// requests: pushed records persist, so nothing is lost either way.
 	svc.DrainCluster()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -178,8 +178,8 @@ func startPprof(addr string) {
 
 // runWorker runs the worker role: join the coordinator, pull leases
 // until signalled, serve a minimal /healthz + /metrics for probes.
-// SIGINT/SIGTERM drains gracefully — the current lease completes and
-// reports — and the drain timeout bounds how long that may take before
+// SIGINT/SIGTERM drains gracefully — the current leases complete and
+// report — and the drain timeout bounds how long that may take before
 // a hard stop (whose pushed records the coordinator still recognizes).
 func runWorker(addr, join, name string, workers int, drain time.Duration) int {
 	if join == "" {
@@ -242,7 +242,7 @@ func runWorker(addr, join, name string, workers int, drain time.Duration) int {
 		if runCtx.Err() != nil {
 			return // worker already finished on its own
 		}
-		log.Printf("reboundd: draining (current lease finishes, bounded by %s)", drain)
+		log.Printf("reboundd: draining (current leases finish, bounded by %s)", drain)
 		w.Drain()
 		select {
 		case <-time.After(drain):

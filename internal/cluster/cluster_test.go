@@ -413,9 +413,10 @@ func TestUnitFailuresBelowLimitReLease(t *testing.T) {
 }
 
 // TestStrayFailureReportsAreIgnored: failure reports count only
-// against the units of the live lease that carries them. A report for
-// a unit outside the lease, and reports on a completion whose lease
-// does not exist, never fail the job; a worker then finishes it.
+// against the units of the live lease that carries them, sent by the
+// worker that holds it. A report for a unit outside the lease, reports
+// on a completion whose lease does not exist, and reports from another
+// worker on the lease never fail the job; a worker then finishes it.
 func TestStrayFailureReportsAreIgnored(t *testing.T) {
 	st := openStore(t)
 	c, err := New(Config{Store: st, MaxChunk: 2})
@@ -431,6 +432,16 @@ func TestStrayFailureReportsAreIgnored(t *testing.T) {
 	resp := c.Lease(LeaseRequest{WorkerID: wid})
 	if resp.Lease == nil || !slices.Equal(resp.Lease.Indices, []int{0, 1}) {
 		t.Fatalf("lease = %+v, want trials [0 1]", resp.Lease)
+	}
+	// Another worker reporting on this worker's live lease neither
+	// counts failures against its units nor releases the lease.
+	other := c.Join(JoinRequest{Name: "other"}).WorkerID
+	for i := 0; i < MaxUnitFailures; i++ {
+		c.Complete(CompleteRequest{WorkerID: other, LeaseID: resp.Lease.ID, Job: j.Key(),
+			Failed: []UnitFailure{{Index: 0, Err: "not this worker's lease"}}})
+	}
+	if n := c.Metrics().LeasesActive; n != 1 {
+		t.Fatalf("%d leases active after another worker's reports, want the 1 it named", n)
 	}
 	stray := []UnitFailure{{Index: 5, Err: "not this lease's unit"}}
 	c.Complete(CompleteRequest{WorkerID: wid, LeaseID: resp.Lease.ID, Job: j.Key(), Failed: stray})
@@ -455,5 +466,91 @@ func TestStrayFailureReportsAreIgnored(t *testing.T) {
 	<-j.Done()
 	if err := j.Err(); err != nil {
 		t.Fatalf("job error = %v, want nil", err)
+	}
+}
+
+// gatedTier is a LocalTier whose record pushes announce themselves on
+// entered, then wait until gate is closed.
+type gatedTier struct {
+	LocalTier
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (t *gatedTier) PutRecord(rec *store.Record) error {
+	t.entered <- struct{}{}
+	<-t.gate
+	return t.LocalTier.PutRecord(rec)
+}
+
+// TestWorkerFillsPoolWithSmallLeases: a worker whose leases hold fewer
+// units than its pool is wide takes a further lease, so one-cell jobs
+// run side by side instead of one after another, and the cells in
+// flight never exceed the pool width: a lease's units beyond it wait
+// for a free execution slot.
+func TestWorkerFillsPoolWithSmallLeases(t *testing.T) {
+	st := openStore(t)
+	c, err := New(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 3
+	var cells []harness.Spec
+	for _, scheme := range []string{"Global", "Global_DWB", "Rebound_NoDWB", "Rebound", "Rebound_Barr"} {
+		cells = append(cells, harness.Spec{App: "FFT", Procs: 4, Scheme: scheme, Scale: harness.Quick})
+	}
+	// Two one-cell jobs, then one of three cells: the worker leases all
+	// five cells in three leases and runs three at a time.
+	var jobs []*Job
+	for _, specs := range [][]harness.Spec{cells[:1], cells[1:2], cells[2:]} {
+		j, _, err := c.SubmitSweep(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	tier := &gatedTier{LocalTier: LocalTier{St: st}, entered: make(chan struct{}, len(cells)),
+		gate: make(chan struct{})}
+	w, err := NewWorker(WorkerConfig{
+		Proto:      Direct{C: c},
+		Runner:     harness.NewRunner(width),
+		Tier:       tier,
+		Name:       "wide",
+		ExitOnIdle: true,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(context.Background()) }()
+	for i := 0; i < width; i++ {
+		select {
+		case <-tier.entered:
+		case <-time.After(60 * time.Second):
+			close(tier.gate)
+			t.Fatalf("%d cells reached their push together, want %d", i, width)
+		}
+	}
+	select {
+	case <-tier.entered:
+		t.Fatalf("more than %d cells in flight on a %d-wide pool", width, width)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if n := c.Metrics().LeasesActive; n != 3 {
+		t.Fatalf("%d leases active, want one per job", n)
+	}
+	close(tier.gate)
+	if err := waitRun(t, ran, 60*time.Second, "after the release"); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	for i, j := range jobs {
+		<-j.Done()
+		if err := j.Err(); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if _, done, _ := w.Stats(); done != int64(len(cells)) {
+		t.Fatalf("worker ran %d cells, want %d", done, len(cells))
 	}
 }

@@ -565,16 +565,17 @@ func (c *Coordinator) leasePayload(l *lease) *Lease {
 // skipped (idempotent retries); claims whose record is missing or
 // invalid return the unit to the pool, and so do reported failures of
 // the lease's own units, each counted against MaxUnitFailures. An
-// expired or unknown lease ID is not an error: the claims are
-// validated against the job the request names, so work finished just
-// past its deadline still counts, but its failure reports are ignored
-// (the reaper re-leases those units anyway).
+// expired or unknown lease ID, or one that another worker holds, is
+// not an error: the claims are validated against the job the request
+// names, so work finished just past its deadline still counts, but
+// its failure reports are ignored and the lease is left alone (the
+// reaper re-leases those units anyway).
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	c.mu.Lock()
 	c.touch(req.WorkerID)
 	j := c.jobs[req.Job]
 	var leased []int
-	if l, ok := c.leases[req.LeaseID]; ok {
+	if l, ok := c.leases[req.LeaseID]; ok && l.worker == req.WorkerID {
 		j, leased = l.job, l.units
 		// Units the worker did not claim go straight back to todo.
 		claimed := make(map[int]bool, len(req.Indices))

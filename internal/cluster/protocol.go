@@ -123,7 +123,8 @@ type CompleteRequest struct {
 	// Failed reports the leased units whose run or push failed. The
 	// coordinator leases such a unit again, and fails its job once the
 	// unit has failed MaxUnitFailures times. Only the units of the live
-	// lease LeaseID count; a completion past its lease reports none.
+	// lease LeaseID held by WorkerID count; a completion past its lease
+	// reports none.
 	Failed []UnitFailure `json:"failed,omitempty"`
 }
 

@@ -140,6 +140,10 @@ type Worker struct {
 	runners  map[string]*campaign.TrialRunner
 	order    []string // runner insertion order, for eviction
 
+	// slots holds a token per unit executing, across every lease in
+	// flight; its capacity is the runner's width.
+	slots chan struct{}
+
 	trialsDone atomic.Int64
 	cellsDone  atomic.Int64
 	leasesRun  atomic.Int64
@@ -156,7 +160,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Tier == nil {
 		return nil, fmt.Errorf("cluster: worker needs a store tier")
 	}
-	return &Worker{cfg: cfg, runners: make(map[string]*campaign.TrialRunner)}, nil
+	return &Worker{cfg: cfg, runners: make(map[string]*campaign.TrialRunner),
+		slots: make(chan struct{}, max(cfg.Runner.Workers(), 1))}, nil
 }
 
 // ID returns the coordinator-assigned worker id ("" before join).
@@ -174,8 +179,8 @@ func (w *Worker) Stats() (trials, cells, leases int64) {
 }
 
 // Drain asks the worker to stop pulling new leases: a lease request
-// waiting on the coordinator ends at once, Run finishes the lease in
-// flight (if any), reports it, and returns nil. It is the graceful
+// waiting on the coordinator ends at once, Run finishes the leases in
+// flight (if any), reports them, and returns nil. It is the graceful
 // half of shutdown — cancel Run's context for the hard half.
 func (w *Worker) Drain() {
 	w.draining.Store(true)
@@ -187,8 +192,9 @@ func (w *Worker) Drain() {
 }
 
 // Run joins the coordinator and loops leases until the context is
-// cancelled (hard stop: the in-flight lease is abandoned and expires)
-// or Drain is invoked (graceful: the in-flight lease completes first).
+// cancelled (hard stop: the leases in flight are cut short and
+// expire) or Drain is invoked (graceful: the leases in flight complete
+// first). Run returns only after every lease it started has ended.
 // Transport hiccups back off under the protocol's retry policy; only
 // an exhausted policy or cancellation returns.
 func (w *Worker) Run(ctx context.Context) error {
@@ -221,13 +227,27 @@ func (w *Worker) Run(ctx context.Context) error {
 		hb.Wait()
 	}()
 
-	// Lease requests run under waitCtx, which Drain cancels, so a
-	// request the coordinator is holding ends with the drain.
+	// Lease requests, and waits for a busy pool to free up, run under
+	// waitCtx, which Drain cancels, so a request the coordinator is
+	// holding ends with the drain.
 	waitCtx, stopWait := context.WithCancel(ctx)
 	defer stopWait()
 	w.mu.Lock()
 	w.stopWait = stopWait
 	w.mu.Unlock()
+
+	// The worker takes a further lease while the units it holds are
+	// fewer than the pool is wide, so one-cell jobs (run misses) fill
+	// the pool side by side instead of queueing behind each other. The
+	// leases' units share the worker's execution slots, so simulations
+	// in flight never exceed the pool width.
+	var (
+		running sync.WaitGroup
+		held    atomic.Int64             // units of the leases in flight
+		freed   = make(chan struct{}, 1) // a lease in flight finished
+	)
+	defer running.Wait()
+	procs := int64(w.cfg.Runner.Workers())
 	req := LeaseRequest{WorkerID: w.ID(), WaitMillis: w.waitMillis(), ExitOnIdle: w.cfg.ExitOnIdle}
 	for {
 		if w.draining.Load() {
@@ -235,6 +255,13 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if held.Load() >= procs {
+			select {
+			case <-freed:
+			case <-waitCtx.Done():
+			}
+			continue
 		}
 		resp, err := w.cfg.Proto.Lease(waitCtx, req)
 		if err != nil {
@@ -257,7 +284,18 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		w.execute(ctx, resp.Lease)
+		l, n := resp.Lease, int64(len(resp.Lease.Indices)+len(resp.Lease.Specs))
+		held.Add(n)
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			w.execute(ctx, l)
+			held.Add(-n)
+			select {
+			case freed <- struct{}{}:
+			default:
+			}
+		}()
 	}
 }
 
@@ -312,6 +350,10 @@ func (w *Worker) runCampaignLease(ctx context.Context, l *Lease) (done []int, fa
 
 	var mu sync.Mutex
 	w.cfg.Runner.FanOut(ctx, len(l.Indices), func(j int) {
+		if !w.acquire(ctx) {
+			return
+		}
+		defer w.release()
 		i := l.Indices[j]
 		tr, err := w.runTrial(runner, i)
 		if err == nil {
@@ -350,6 +392,10 @@ func (w *Worker) runTrial(runner *campaign.TrialRunner, i int) (tr campaign.Tria
 func (w *Worker) runSweepLease(ctx context.Context, l *Lease) (keys []string, failed []UnitFailure) {
 	var mu sync.Mutex
 	w.cfg.Runner.FanOut(ctx, len(l.Specs), func(j int) {
+		if !w.acquire(ctx) {
+			return
+		}
+		defer w.release()
 		spec := l.Specs[j]
 		res, err := w.cfg.Runner.RunOne(ctx, spec)
 		if err == nil {
@@ -371,6 +417,20 @@ func (w *Worker) runSweepLease(ctx context.Context, l *Lease) (keys []string, fa
 	sort.Strings(keys)
 	return keys, failed
 }
+
+// acquire takes one of the worker's execution slots, waiting while
+// the units of other leases fill them; false once ctx ends (the unit
+// is then cut short, not run).
+func (w *Worker) acquire(ctx context.Context) bool {
+	select {
+	case w.slots <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+func (w *Worker) release() { <-w.slots }
 
 // runnerFor returns the cached TrialRunner of a campaign, creating it
 // on first use (that is where the one snapshot load happens) and

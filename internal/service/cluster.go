@@ -71,8 +71,11 @@ func (s *Server) initCluster() error {
 
 	// The in-process worker: the coordinator's own share of the fleet.
 	// It executes leases on the server's runner through the local store
-	// tier, one lease at a time fanned out across the runner's pool, so
-	// machine-wide simulation concurrency stays at the runner's width.
+	// tier. Its leases' units share execution slots as wide as the
+	// runner, so machine-wide simulation concurrency stays at the
+	// runner's width, and it takes a further lease while its leases
+	// hold fewer units than that, so distinct run misses simulate side
+	// by side.
 	tier := s.cfg.tier
 	if tier == nil {
 		tier = &cluster.LocalTier{St: s.cfg.Store}
@@ -135,7 +138,7 @@ func (s *Server) waitForJobs(ctx context.Context) bool {
 	}
 }
 
-// DrainCluster stops the in-process worker after its current lease and
+// DrainCluster stops the in-process worker after its current leases and
 // waits for it — the graceful half of a server shutdown (leases
 // in flight complete and report; nothing is abandoned). Remote workers
 // drain themselves on their own SIGTERM.

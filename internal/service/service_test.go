@@ -9,9 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/store"
 )
@@ -556,6 +558,67 @@ func TestDedupJoinsInFlightSimulation(t *testing.T) {
 	}
 	if srv.cfg.Runner.CachedRuns() != 1 {
 		t.Fatalf("runner simulated %d cells, want 1", srv.cfg.Runner.CachedRuns())
+	}
+}
+
+// pushTier is a heldTier that announces each record push on entered
+// before it waits for the gate.
+type pushTier struct {
+	*heldTier
+	entered chan struct{}
+}
+
+func (t pushTier) PutRecord(rec *store.Record) error {
+	t.entered <- struct{}{}
+	return t.heldTier.PutRecord(rec)
+}
+
+// TestConcurrentRunMissesShareThePool: distinct run misses arriving
+// together simulate side by side on the runner's pool, one one-cell
+// lease each, rather than one after another.
+func TestConcurrentRunMissesShareThePool(t *testing.T) {
+	const width = 3
+	var tier pushTier
+	srv := newServer(t, t.TempDir(), func(cfg *Config) {
+		cfg.Runner = harness.NewRunner(width)
+		tier = pushTier{&heldTier{LocalTier: cluster.LocalTier{St: cfg.Store}, gate: make(chan struct{})},
+			make(chan struct{}, width+1)}
+		cfg.tier = tier
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	var once sync.Once
+	release := func() { once.Do(func() { close(tier.gate) }) }
+	defer release()
+
+	codes := make(chan int, width)
+	for _, scheme := range []string{"Global", "Rebound_NoDWB", "Rebound"} {
+		go func() {
+			resp, err := ts.Client().Post(ts.URL+"/v1/runs", "application/json",
+				strings.NewReader(`{"app":"FFT","procs":4,"scheme":"`+scheme+`"}`))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	for i := 0; i < width; i++ {
+		select {
+		case <-tier.entered:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%d of %d distinct misses reached their push together", i, width)
+		}
+	}
+	release()
+	for i := 0; i < width; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("run miss answered %d, want 200", code)
+		}
+	}
+	if n := srv.cfg.Runner.CachedRuns(); n != width {
+		t.Fatalf("runner simulated %d cells, want %d", n, width)
 	}
 }
 
