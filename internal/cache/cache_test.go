@@ -184,3 +184,35 @@ func TestQuickConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkCacheLookup measures one access as a processor makes it:
+// a Lookup, and an Insert when it misses. The geometries are the
+// paper's L1 and L2, and the addresses are drawn from twice each
+// cache's capacity, so about half the accesses miss once it is warm.
+func BenchmarkCacheLookup(b *testing.B) {
+	for _, g := range []struct {
+		name              string
+		size, ways, lineB int
+	}{{"L1", 16 * 1024, 4, 32}, {"L2", 256 * 1024, 8, 32}} {
+		b.Run(g.name, func(b *testing.B) {
+			c := New(g.size, g.ways, g.lineB)
+			rng := rand.New(rand.NewSource(1))
+			addrs := make([]uint64, 1<<16)
+			for i := range addrs {
+				addrs[i] = uint64(rng.Intn(2 * c.Capacity()))
+			}
+			for _, a := range addrs {
+				if c.Lookup(a) == nil {
+					c.Insert(a)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a := addrs[i&(len(addrs)-1)]; c.Lookup(a) == nil {
+					c.Insert(a)
+				}
+			}
+		})
+	}
+}

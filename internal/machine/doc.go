@@ -30,7 +30,7 @@
 //
 // # Snapshot format and compatibility
 //
-// The persistent codec (persist.go) writes one format, format 5: a
+// The persistent codec (persist.go) writes one format, format 6: a
 // binary payload of a magic, the format number and length-prefixed
 // sections of varints, built on internal/wire. The snapshot's flat
 // arrays are the persisted arrays, except that each cache persists as
@@ -40,7 +40,8 @@
 // persists to the same bytes at any shard count and decodes into a
 // machine of any shard count. Decode checks every length against the
 // target machine and the bytes left before it allocates, and checks
-// the cache images, the processor IDs and the pending-event heap, so a
+// the cache images, the processor IDs and the pending events, which
+// must be in firing order (ascending time, then sequence number), so a
 // malformed stored payload is an error: it cannot panic Restore or
 // fire events out of order. Decode expands each cache image to a
 // full-length cache.Snapshot, so Restore, Fork and the in-memory

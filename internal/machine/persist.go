@@ -22,7 +22,7 @@ import (
 // content-addressed and self-verifying; campaign.TrialRunner loads it
 // instead of re-running the warmup on cold start).
 //
-// Format 5 is binary: an 8-byte magic, the format as a little-endian
+// Format 6 is binary: an 8-byte magic, the format as a little-endian
 // uint32, then sections in layout's order, each a little-endian uint32
 // byte length and a body (internal/wire). In a body every number and
 // flag is a varint (zig-zag if signed) and an array is its length and
@@ -30,7 +30,9 @@ import (
 // by interned line ID and the config omits Shards, so a snapshot has
 // the same bytes at every shard count. A cache persists as its way
 // count, LRU clock and non-zero ways as (index, line) pairs, and a log
-// entry omits its PID, the index of its list; both are exact.
+// entry omits its PID, the index of its list; both are exact. The
+// pending events are listed in firing order, ascending (at, seq), as
+// sim.Engine.Save emits them (format 5 listed them in heap order).
 //
 // Decoding trusts nothing. Every length is checked against the target
 // machine's shape where it has one, and against the bytes left, before
@@ -38,7 +40,7 @@ import (
 // and the payload to its end. The magic, format, Config and scheme name
 // must match the target; processor IDs must name its processors; and
 // checkShape checks what needs the whole snapshot, such as the
-// pending-event heap. A malformed payload is an error, never a panic in
+// pending events' firing order. A malformed payload is an error, never a panic in
 // Restore or events fired out of order. Stream identity (profile
 // pointer, core number, derived burst constants) is never serialized:
 // workload.StateFromImage re-derives it from the target machine.
@@ -47,7 +49,7 @@ import (
 // any change to the layout (or to the semantics of the fields it
 // carries); stored snapshots with another format are ignored, not
 // migrated.
-const SnapshotFormat = 5
+const SnapshotFormat = 6
 
 // snapshotMagic opens every payload; a JSON payload of an earlier
 // format fails on it.
@@ -391,9 +393,9 @@ func (m *Machine) checkShape(s *MachineSnapshot) error {
 // takes as given: each event names a processor task, and a processor
 // has at most one pending step and one pending drain event; no event
 // lies before now or carries a sequence number above the snapshot's
-// counter or one already used; and the array is a binary min-heap on
-// (at, seq). A list that breaks any of these would decode and then
-// fire events in the wrong order.
+// counter or one already used; and the list is in firing order,
+// strictly ascending (at, seq). A list that breaks any of these would
+// decode and then fire events in the wrong order.
 func checkEvents(s *MachineSnapshot, n int) error {
 	pending := make([]uint8, n) // per processor, a bit per tag kind
 	seqs := make(map[uint64]bool, len(s.events))
@@ -414,8 +416,8 @@ func checkEvents(s *MachineSnapshot, n int) error {
 		}
 		seqs[ev.Seq] = true
 		if i > 0 {
-			if p := s.events[(i-1)/2]; ev.At < p.At || ev.At == p.At && ev.Seq < p.Seq {
-				return fmt.Errorf("machine: snapshot events out of heap order at position %d", i)
+			if p := s.events[i-1]; ev.At < p.At || ev.At == p.At && ev.Seq <= p.Seq {
+				return fmt.Errorf("machine: snapshot events out of firing order at position %d", i)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func fft4Payload(tb testing.TB, shards int) []byte {
 	return enc
 }
 
-// The helpers below walk format 5's framing (persist.go): a payload is
+// The helpers below walk the format's framing (persist.go): a payload is
 // a 12-byte header and a run of sections, each a little-endian uint32
 // length and a body. A case edits one field of a real payload and
 // leaves every other byte as it was.
@@ -264,7 +265,7 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 			engine(d, func(e *engineSec) { e.evs[len(e.evs)-1].seq = e.seq + 1 })
 		}},
 		{"duplicate event sequence", "", func(d *doc) {
-			// Equal keys at parent and child keep the heap order valid.
+			// Event 1 repeats event 0's key; the sequence check runs first.
 			engine(d, func(e *engineSec) { e.evs[1].at, e.evs[1].seq = e.evs[0].at, e.evs[0].seq })
 		}},
 		{"two step events for one processor", "", func(d *doc) {
@@ -279,6 +280,23 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 		}},
 		{"events out of heap order", "", func(d *doc) {
 			engine(d, func(e *engineSec) { e.evs[0], e.evs[1] = e.evs[1], e.evs[0] })
+		}},
+		{"events in heap order but not firing order", "firing order", func(d *doc) {
+			// The last two events swap places: the list stays a valid
+			// binary min-heap on (at, seq), which format 5 accepted,
+			// but is no longer sorted.
+			engine(d, func(e *engineSec) {
+				n := len(e.evs)
+				if n < 3 {
+					t.Fatalf("the payload has %d pending events, want 3 or more", n)
+				}
+				e.evs[n-1], e.evs[n-2] = e.evs[n-2], e.evs[n-1]
+				for i := 1; i < n; i++ {
+					if p, c := e.evs[(i-1)/2], e.evs[i]; c.at < p.at || c.at == p.at && c.seq < p.seq {
+						t.Fatalf("the mutated events are not a min-heap at position %d", i)
+					}
+				}
+			})
 		}},
 		{"dep register set short", "", func(d *doc) {
 			// The set count says one set fewer than the tracker holds.
@@ -410,20 +428,23 @@ func TestDecodeSnapshotRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestDecodeSnapshotRejectsFormat4: a stored payload of the previous
-// format, JSON, fails decode on the magic; a payload with format 5's
-// magic and another format number fails on the format.
+// TestDecodeSnapshotRejectsFormat4: a stored payload of format 4,
+// JSON, fails decode on the magic; a payload with the binary magic and
+// another format number, 4 or 5 (whose events were in heap order),
+// fails on the format.
 func TestDecodeSnapshotRejectsFormat4(t *testing.T) {
 	m := fft4(t, 1)
 	_, err := m.DecodeSnapshot([]byte(`{"format":4,"cfg":{"NProcs":4},"now":0,"procs":[]}`))
 	if err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("format-4 JSON payload: got error %v, want the magic error", err)
 	}
-	payload := fft4Payload(t, 1)
-	binary.LittleEndian.PutUint32(payload[8:], 4)
-	_, err = m.DecodeSnapshot(payload)
-	if err == nil || !strings.Contains(err.Error(), "snapshot format 4, want 5") {
-		t.Fatalf("format-4 header: got error %v, want the format error", err)
+	for _, f := range []uint32{4, 5} {
+		payload := fft4Payload(t, 1)
+		binary.LittleEndian.PutUint32(payload[8:], f)
+		_, err = m.DecodeSnapshot(payload)
+		if want := fmt.Sprintf("snapshot format %d, want %d", f, machine.SnapshotFormat); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("format-%d header: got error %v, want the format error", f, err)
+		}
 	}
 }
 

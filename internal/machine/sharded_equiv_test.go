@@ -326,7 +326,7 @@ func TestShardsNotPowerOfTwoRuns(t *testing.T) {
 func TestSnapshotBytesGolden(t *testing.T) {
 	const (
 		wantLen = 170_569
-		wantSHA = "e246b338e98f70df1d48866092de5dbdfe186443d05ed4744802c3d642da5aed"
+		wantSHA = "f1aa511c985c4f367726f406baccb46f0493aa1bfab1fd81fd68aac616e99288"
 	)
 	for _, shards := range []int{0, 1, 2, 4} {
 		spec := harness.Spec{App: "FFT", Procs: 4, Scheme: "Rebound", Scale: harness.Quick, Shards: shards}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -247,20 +248,42 @@ func mustPanic(t *testing.T, fn func()) {
 	fn()
 }
 
-// BenchmarkEngine measures one pop plus one schedule with 16 pending
-// step-like events: tagged, pre-bound closures that each reschedule
-// themselves, as a processor's step does.
+// BenchmarkEngine measures one pop plus one schedule with 4, 16, 64 and
+// 256 pending step-like events: tagged, pre-bound closures that each
+// reschedule themselves, as a processor's step does. Delays follow the
+// mix the simulator schedules: mostly 2 to 15 cycles, a tail to 512,
+// and about one in 30,000 beyond the wheel's span.
 func BenchmarkEngine(b *testing.B) {
-	e := NewEngine()
-	fns := make([]func(), 16)
-	for i := range fns {
-		tag, delay := Tag{Kind: 1, ID: int32(i)}, Cycle(1+i*7%13)
-		fns[i] = func() { e.ScheduleTagged(delay, tag, fns[i]) }
-		e.ScheduleTagged(Cycle(i), tag, fns[i])
+	rng := NewRNG(1)
+	delays := make([]Cycle, 1<<16)
+	for i := range delays {
+		switch r := rng.Intn(30_000); {
+		case r == 0:
+			delays[i] = wheelSize + Cycle(rng.Intn(2*wheelSize))
+		case r%10 == 0:
+			delays[i] = Cycle(rng.Range(16, 512))
+		default:
+			delays[i] = Cycle(rng.Range(2, 15))
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
+	for _, pending := range []int{4, 16, 64, 256} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			e := NewEngine()
+			next := 0
+			fns := make([]func(), pending)
+			for i := range fns {
+				tag := Tag{Kind: 1, ID: int32(i)}
+				fns[i] = func() {
+					e.ScheduleTagged(delays[next], tag, fns[i])
+					next = (next + 1) & (len(delays) - 1)
+				}
+				e.ScheduleTagged(Cycle(i%16), tag, fns[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

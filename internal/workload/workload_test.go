@@ -199,3 +199,21 @@ func TestQuickOpsWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkStreamNext measures one op drawn from a core's stream, for
+// three SPLASH-2 profiles on core 3 of 16.
+func BenchmarkStreamNext(b *testing.B) {
+	for _, name := range []string{"FFT", "Barnes", "Ocean"} {
+		b.Run(name, func(b *testing.B) {
+			s := NewStream(ByName(name), 3, 16, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkOp = s.Next()
+			}
+		})
+	}
+}
+
+// sinkOp keeps BenchmarkStreamNext's result live.
+var sinkOp Op
