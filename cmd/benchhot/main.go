@@ -155,7 +155,7 @@ func measure(label string, terms []string) []Entry {
 			GOMAXPROCS:  gmp,
 			Date:        now,
 		}
-		fmt.Fprintf(os.Stderr, "benchhot: %-12s %12.0f ops/sec  %10.1f ns/op  %d allocs/op\n",
+		fmt.Fprintf(os.Stderr, "benchhot: %-12s %12.2f ops/sec  %10.1f ns/op  %d allocs/op\n",
 			e.Name, e.OpsPerSec, e.NsPerOp, e.AllocsPerOp)
 		out = append(out, e)
 	}
@@ -284,7 +284,7 @@ func check(fresh, baseline []Entry, maxRegress, maxAllocGrowth float64) error {
 			failed = true
 		}
 		fmt.Fprintf(os.Stderr,
-			"benchhot: gate %-22s %12.0f vs best prior %12.0f ops/sec (%.2fx, floor %.0f, %s), %d vs %d allocs/op (limit %d): %s\n",
+			"benchhot: gate %-22s %12.2f vs best prior %12.2f ops/sec (%.2fx, floor %.2f, %s), %d vs %d allocs/op (limit %d): %s\n",
 			e.Name, e.OpsPerSec, b.ops, ratio, floor, width, e.AllocsPerOp, b.allocs, allocLimit, status)
 	}
 	if failed {
@@ -349,7 +349,7 @@ func checkScaling(fresh []Entry, filtered bool) error {
 		}
 		speedup := parallel.OpsPerSec / serial.OpsPerSec
 		fmt.Fprintf(os.Stderr,
-			"benchhot: gate scaling %s: parallel %.0f vs serial %.0f ops/sec = %.2fx at gomaxprocs=%d (floor %.1fx), %d vs %d allocs/op\n",
+			"benchhot: gate scaling %s: parallel %.2f vs serial %.2f ops/sec = %.2fx at gomaxprocs=%d (floor %.1fx), %d vs %d allocs/op\n",
 			pair.parallel, parallel.OpsPerSec, serial.OpsPerSec, speedup, parallel.GOMAXPROCS,
 			pair.floor, parallel.AllocsPerOp, serial.AllocsPerOp)
 		if speedup < pair.floor {

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -64,8 +65,15 @@ func (l *Line) Valid() bool { return l.State != Invalid }
 // Cache is a set-associative, LRU cache. Addresses are line-granular.
 // Lines are stored in one flat slice (set i occupies lines[i*ways :
 // (i+1)*ways]) for locality and a single allocation.
+//
+// occ has one bit per way, set exactly when the way is not the zero
+// Line: Insert sets it and Invalidate clears it (callers mutate lines
+// in place but never zero one). The whole-cache walks (InvalidateAll,
+// ForEach, Save, Load) visit only the occupied ways, in increasing way
+// order, so their cost follows what the cache holds, not its capacity.
 type Cache struct {
 	lines   []Line
+	occ     []uint64
 	nsets   int
 	ways    int
 	lruTick uint64
@@ -84,7 +92,8 @@ func New(sizeBytes, ways, lineBytes int) *Cache {
 		p *= 2
 	}
 	nsets = p
-	return &Cache{lines: make([]Line, nsets*ways), nsets: nsets, ways: ways}
+	n := nsets * ways
+	return &Cache{lines: make([]Line, n), occ: make([]uint64, (n+63)/64), nsets: nsets, ways: ways}
 }
 
 // Sets and Ways expose the geometry.
@@ -96,9 +105,12 @@ func (c *Cache) Ways() int { return c.ways }
 // Capacity returns the number of lines the cache can hold.
 func (c *Cache) Capacity() int { return c.nsets * c.ways }
 
+// base returns the index of the first way of addr's set.
+func (c *Cache) base(addr uint64) int { return (int(addr) & (c.nsets - 1)) * c.ways }
+
 func (c *Cache) set(addr uint64) []Line {
-	si := int(addr) & (c.nsets - 1)
-	return c.lines[si*c.ways : si*c.ways+c.ways]
+	b := c.base(addr)
+	return c.lines[b : b+c.ways]
 }
 
 // Lookup returns the line holding addr, touching LRU, or nil on miss.
@@ -130,7 +142,8 @@ func (c *Cache) Peek(addr uint64) *Line {
 // caller is responsible for writing back a dirty victim and for
 // initialising the returned line's fields.
 func (c *Cache) Insert(addr uint64) (line *Line, victim Line, evicted bool) {
-	s := c.set(addr)
+	base := c.base(addr)
+	s := c.lines[base : base+c.ways]
 	// Reuse an existing copy or an invalid way if possible.
 	vi := -1
 	var oldest uint64 = ^uint64(0)
@@ -154,16 +167,21 @@ func (c *Cache) Insert(addr uint64) (line *Line, victim Line, evicted bool) {
 	ev := v.State != Invalid
 	c.lruTick++
 	s[vi] = Line{Addr: addr, LRU: c.lruTick}
+	w := base + vi
+	c.occ[w>>6] |= 1 << (w & 63)
 	return &s[vi], v, ev
 }
 
 // Invalidate removes addr and returns the line's prior contents.
 func (c *Cache) Invalidate(addr uint64) (Line, bool) {
-	s := c.set(addr)
+	base := c.base(addr)
+	s := c.lines[base : base+c.ways]
 	for i := range s {
 		if s[i].State != Invalid && s[i].Addr == addr {
 			old := s[i]
 			s[i] = Line{}
+			w := base + i
+			c.occ[w>>6] &^= 1 << (w & 63)
 			return old, true
 		}
 	}
@@ -171,53 +189,90 @@ func (c *Cache) Invalidate(addr uint64) (Line, bool) {
 }
 
 // InvalidateAll wipes the cache. An invalid line is always the zero
-// Line, so this clears every line. Used on rollback (§3.3.5:
+// Line, so this clears every occupied way. Used on rollback (§3.3.5:
 // rolled-back caches are invalidated; their dirty data is abandoned,
 // the log restores memory).
-func (c *Cache) InvalidateAll() { clear(c.lines) }
+func (c *Cache) InvalidateAll() {
+	for wi, w := range c.occ {
+		for ; w != 0; w &= w - 1 {
+			c.lines[wi<<6+bits.TrailingZeros64(w)] = Line{}
+		}
+		c.occ[wi] = 0
+	}
+}
 
-// ForEach visits every valid line. The *Line may be mutated.
+// ForEach visits every valid line in increasing way order. The *Line
+// may be mutated, and fn may insert or invalidate lines: each bitmap
+// word is re-read after every visit, so a way fn fills or empties
+// further on is seen as it stands when the walk reaches it.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
+	for wi := range c.occ {
+		for w := c.occ[wi]; w != 0; {
+			b := bits.TrailingZeros64(w)
+			if l := &c.lines[wi<<6+b]; l.State != Invalid {
+				fn(l)
+			}
+			w = c.occ[wi] &^ (2<<b - 1)
 		}
 	}
 }
 
-// Snapshot is a saved cache image: the full line array plus the LRU
-// clock. Save reuses the snapshot's backing storage across captures.
+// Snapshot is a saved cache image: the occupied ways as parallel
+// (way index, line) arrays in increasing way order, the cache's way
+// count and its LRU clock. Every way not listed is the zero Line. Save
+// reuses the snapshot's backing storage across captures.
 type Snapshot struct {
-	Lines   []Line
-	LruTick uint64
+	Index    []int32
+	Lines    []Line
+	Capacity int
+	LruTick  uint64
 }
 
-// Save copies the cache contents into s, reusing s.Lines storage.
+// Save copies the cache contents into s, reusing its storage.
 func (c *Cache) Save(s *Snapshot) {
-	if cap(s.Lines) < len(c.lines) {
-		s.Lines = make([]Line, len(c.lines))
-	} else {
-		s.Lines = s.Lines[:len(c.lines)]
+	s.Index, s.Lines = s.Index[:0], s.Lines[:0]
+	for wi, w := range c.occ {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			s.Index = append(s.Index, int32(i))
+			s.Lines = append(s.Lines, c.lines[i])
+		}
 	}
-	copy(s.Lines, c.lines)
+	s.Capacity = len(c.lines)
 	s.LruTick = c.lruTick
 }
 
 // CheckSnapshot reports whether s fits c's geometry, Load's
-// precondition.
+// precondition: the way count matches, and the listed ways increase
+// and stay below it.
 func (c *Cache) CheckSnapshot(s *Snapshot) error {
-	if len(s.Lines) != len(c.lines) {
-		return fmt.Errorf("cache: snapshot holds %d lines, cache has %d", len(s.Lines), len(c.lines))
+	if s.Capacity != len(c.lines) {
+		return fmt.Errorf("cache: snapshot holds %d ways, cache has %d", s.Capacity, len(c.lines))
+	}
+	if len(s.Index) != len(s.Lines) {
+		return fmt.Errorf("cache: snapshot lists %d way indices for %d lines", len(s.Index), len(s.Lines))
+	}
+	prev := int32(-1)
+	for _, i := range s.Index {
+		if i <= prev || int(i) >= len(c.lines) {
+			return fmt.Errorf("cache: snapshot way index %d after %d, want increasing and below %d", i, prev, len(c.lines))
+		}
+		prev = i
 	}
 	return nil
 }
 
 // Load restores the cache from s. The geometry must match the capture.
+// It clears the ways the cache occupies and fills the ways s lists.
 func (c *Cache) Load(s *Snapshot) {
 	if err := c.CheckSnapshot(s); err != nil {
 		panic(err)
 	}
-	copy(c.lines, s.Lines)
+	c.InvalidateAll()
+	for k, i := range s.Index {
+		c.lines[i] = s.Lines[k]
+		c.occ[i>>6] |= 1 << (i & 63)
+	}
 	c.lruTick = s.LruTick
 }
 

@@ -185,6 +185,89 @@ func TestQuickConsistency(t *testing.T) {
 	}
 }
 
+// TestCacheOccupancy runs a seeded random mix of Insert, Lookup (with
+// the in-place edits callers make), Invalidate, InvalidateAll, Save
+// and Load against a full scan of the line array. After every op a way
+// is occupied exactly when it is not the zero Line, ForEach visits the
+// valid ways in way order, and the counts match the scan; Load of a
+// Save reproduces the saved lines and LRU clock exactly. The geometry,
+// 32 sets of 3 ways, ends the bitmap mid-word.
+func TestCacheOccupancy(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := New(32*3*32, 3, 32)
+		var snap Snapshot
+		var saved []Line
+		var savedTick uint64
+		c.Save(&snap)
+		saved = append(saved[:0], c.lines...)
+		for step := 0; step < 2000; step++ {
+			addr := uint64(rng.Intn(4 * c.Capacity()))
+			switch op := rng.Intn(100); {
+			case op < 45:
+				l, _, _ := c.Insert(addr)
+				l.State = State(1 + rng.Intn(3))
+				l.Dirty = l.State == Modified
+				l.Epoch = uint64(rng.Intn(4))
+				l.Data = mem.Word{Val: rng.Uint64(), Poison: rng.Intn(8) == 0}
+			case op < 65:
+				if l := c.Lookup(addr); l != nil && l.Dirty {
+					l.Delayed = rng.Intn(2) == 0
+				}
+			case op < 85:
+				c.Invalidate(addr)
+			case op < 87:
+				c.InvalidateAll()
+			case op < 94:
+				c.Save(&snap)
+				saved, savedTick = append(saved[:0], c.lines...), c.lruTick
+			default:
+				c.Load(&snap)
+				for i := range saved {
+					if c.lines[i] != saved[i] {
+						t.Fatalf("seed %d step %d: way %d loads as %+v, saved %+v", seed, step, i, c.lines[i], saved[i])
+					}
+				}
+				if c.lruTick != savedTick {
+					t.Fatalf("seed %d step %d: LRU clock %d, saved %d", seed, step, c.lruTick, savedTick)
+				}
+			}
+			var want []*Line
+			valid, dirty, delayed := 0, 0, 0
+			for i := range c.lines {
+				l := &c.lines[i]
+				if occ := c.occ[i>>6]>>(i&63)&1 != 0; occ != (*l != Line{}) {
+					t.Fatalf("seed %d step %d: way %d occupied=%v holding %+v", seed, step, i, occ, *l)
+				}
+				if l.State != Invalid {
+					want = append(want, l)
+					valid++
+					if l.Dirty {
+						dirty++
+					}
+					if l.Delayed {
+						delayed++
+					}
+				}
+			}
+			var got []*Line
+			c.ForEach(func(l *Line) { got = append(got, l) })
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: ForEach visited %d lines, scan finds %d", seed, step, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d step %d: ForEach visit %d out of way order", seed, step, i)
+				}
+			}
+			if c.CountValid() != valid || c.CountDirty() != dirty || c.CountDelayed() != delayed {
+				t.Fatalf("seed %d step %d: counts %d/%d/%d, scan %d/%d/%d", seed, step,
+					c.CountValid(), c.CountDirty(), c.CountDelayed(), valid, dirty, delayed)
+			}
+		}
+	}
+}
+
 // BenchmarkCacheLookup measures one access as a processor makes it:
 // a Lookup, and an Insert when it misses. The geometries are the
 // paper's L1 and L2, and the addresses are drawn from twice each
@@ -215,4 +298,48 @@ func BenchmarkCacheLookup(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCacheRestore times the whole-cache walks a trial restore
+// and a rollback make on the paper's L2 (256 KB, 8-way, 32-byte
+// lines: 8,192 ways) holding 608 lines, the mean per-processor
+// occupancy of a warm FFT/16 quick machine (9,723 of its 131,072 L2
+// ways):
+//
+//   - save: Save into a reused snapshot;
+//   - load: Load of that snapshot into a cache holding the same image,
+//     as a trial restore finds it;
+//   - invalidate_all: InvalidateAll after an untimed Load.
+func BenchmarkCacheRestore(b *testing.B) {
+	const occupied = 608
+	c := New(256*1024, 8, 32)
+	rng := rand.New(rand.NewSource(1))
+	for c.CountValid() < occupied {
+		l, _, _ := c.Insert(uint64(rng.Intn(1 << 20)))
+		l.State = Exclusive
+		l.Data = mem.Word{Val: rng.Uint64()}
+	}
+	var s Snapshot
+	c.Save(&s)
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Save(&s)
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Load(&s)
+		}
+	})
+	b.Run("invalidate_all", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c.Load(&s)
+			b.StartTimer()
+			c.InvalidateAll()
+		}
+	})
 }

@@ -202,4 +202,22 @@ func TestLineTableAdoptPrefixMismatch(t *testing.T) {
 	if err := a.AdoptPrefix([]uint64{10, 99}); err == nil {
 		t.Fatal("diverged prefix accepted")
 	}
+	// An address listed twice, within the new tail or against an ID the
+	// table already holds, would map two IDs onto one line. It is an
+	// error, and the table is left as it was.
+	for _, addrs := range [][]uint64{{10, 20, 30, 40, 40}, {10, 20, 30, 40, 20}} {
+		if err := a.AdoptPrefix(addrs); err == nil {
+			t.Fatalf("AdoptPrefix(%v) accepted a duplicate", addrs)
+		}
+		if _, ok := a.Lookup(40); ok || a.Len() != 3 {
+			t.Fatalf("rejected AdoptPrefix(%v) changed the table: %d lines", addrs, a.Len())
+		}
+	}
+	b := mem.NewLineTable()
+	if err := b.AdoptPrefix([]uint64{10, 20, 10}); err == nil {
+		t.Fatal("AdoptPrefix into an empty table accepted a duplicate")
+	}
+	if b.Len() != 0 {
+		t.Fatalf("rejected AdoptPrefix left %d lines", b.Len())
+	}
 }

@@ -43,9 +43,9 @@
 // the cache images, the processor IDs and the pending events, which
 // must be in firing order (ascending time, then sequence number), so a
 // malformed stored payload is an error: it cannot panic Restore or
-// fire events out of order. Decode expands each cache image to a
-// full-length cache.Snapshot, so Restore, Fork and the in-memory
-// snapshot never see the sparse form.
+// fire events out of order. A cache image decodes straight into a
+// cache.Snapshot, which is the same sparse list of occupied ways that
+// Restore, Fork and the in-memory snapshot use.
 // SnapshotFormat is the format number and is part of every persistent
 // snapshot key (see campaign.warmKey): bump it whenever the encoding
 // changes so stale stored snapshots read as misses that re-warm, never

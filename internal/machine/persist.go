@@ -112,45 +112,43 @@ func (m *Machine) regs(c *wire.Codec, r *Snapshot, core int) {
 const regsBytes = 18
 
 // zeroLine reports whether l is the zero Line, field by field: the
-// struct comparison is an out-of-line call, and a warm L2 is mostly
-// empty ways.
+// struct comparison is an out-of-line call.
 func zeroLine(l *cache.Line) bool {
 	return l.Addr|l.Epoch|l.Data.Val|l.LRU == 0 && l.State == 0 && !l.Dirty && !l.Delayed && !l.Data.Poison
 }
 
 // codeCache codes the image of a cache of ways ways: the way count, the LRU
-// clock and the non-zero ways as (index, line) pairs in increasing way
-// order. Read, the indices must increase and stay below ways, and the
-// image expands to a full-length cache.Snapshot.
+// clock and the occupied ways as (index, line) pairs in increasing way
+// order, which is the sparse cache.Snapshot itself. Read, the indices
+// must increase and stay below ways, and no listed line may be the
+// zero Line (an empty way is never listed).
 func codeCache(c *wire.Codec, s *cache.Snapshot, ways int) {
-	w, n := uint64(len(s.Lines)), 0
+	w := uint64(s.Capacity)
 	if c.U(&w); w != uint64(ways) {
 		c.Fail("cache image holds %d ways, cache has %d", w, ways)
 	}
 	c.U(&s.LruTick)
-	for i := range s.Lines {
-		if !zeroLine(&s.Lines[i]) {
-			n++
-		}
+	n := c.Count("cache ways", len(s.Index), ways, 9)
+	if c.Dec && c.Err == nil {
+		s.Capacity = ways
+		s.Index, s.Lines = make([]int32, n), make([]cache.Line, n)
 	}
-	if n = c.Count("cache ways", n, ways, 9); c.Dec && c.Err == nil {
-		s.Lines = make([]cache.Line, ways)
-	}
-	for prev := -1; n > 0 && c.Err == nil; n-- {
-		i := uint64(prev + 1)
-		for !c.Dec && zeroLine(&s.Lines[i]) {
-			i++
-		}
+	prev := -1
+	for k := 0; k < n && c.Err == nil; k++ {
+		i := uint64(s.Index[k])
 		if c.U(&i); i >= uint64(ways) || int(i) <= prev {
 			c.Fail("cache way index %d after %d, want increasing and below %d", i, prev, ways)
 			break
 		}
-		prev = int(i)
-		l := &s.Lines[i]
+		prev, s.Index[k] = int(i), int32(i)
+		l := &s.Lines[k]
 		c.U(&l.Addr)
 		c.Byte((*byte)(&l.State))
 		c.Flag(&l.Dirty, &l.Delayed, &l.Data.Poison)
 		c.U(&l.Epoch, &l.Data.Val, &l.LRU)
+		if c.Dec && zeroLine(l) {
+			c.Fail("cache way %d is listed but empty", i)
+		}
 	}
 }
 
@@ -352,9 +350,9 @@ func (m *Machine) decodeScheme(raw []byte) (any, error) {
 
 // checkShape validates what the layout's reads could not check alone,
 // so a malformed payload fails decode instead of tripping an invariant
-// panic in Restore: the stats shape, the pending events, the memory's
-// non-zero count, the directory columns, the DRAM channels and the Dep
-// register files.
+// panic in Restore: the stats shape, the pending events, the line
+// table (no address twice), the memory's non-zero count, the directory
+// columns, the DRAM channels and the Dep register files.
 func (m *Machine) checkShape(s *MachineSnapshot) error {
 	n := m.Cfg.NProcs
 	if s.st.NProcs != n {
@@ -365,6 +363,9 @@ func (m *Machine) checkShape(s *MachineSnapshot) error {
 	}
 	if err := checkEvents(s, n); err != nil {
 		return err
+	}
+	if err := mem.NewLineTable().AdoptPrefix(s.tab); err != nil {
+		return fmt.Errorf("machine: snapshot: %w", err)
 	}
 	nonzero := 0
 	for _, w := range s.mem.Words {

@@ -254,9 +254,19 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 		{"L2 duplicate way index", "", func(d *doc) {
 			l2(d, func(c *cacheSec) { c.idx[1] = c.idx[0] })
 		}},
+		{"L2 lists an empty way", "listed but empty", func(d *doc) {
+			// Address, state, three flags, epoch, data and LRU all zero.
+			l2(d, func(c *cacheSec) { c.lines[0] = make([]byte, 8) })
+		}},
 		{"L2 index and line counts differ", "", func(d *doc) {
 			// The count claims one pair more than the section holds.
 			l2(d, func(c *cacheSec) { c.count++ })
+		}},
+		{"line table lists an address twice", "twice", func(d *doc) {
+			r := reader{b: d.secs[secTable]}
+			n, a0 := r.uv(), r.uv()
+			r.uv()
+			d.secs[secTable] = append(append(append(uv(n), uv(a0)...), uv(a0)...), r.b...)
 		}},
 		{"event before now", "", func(d *doc) {
 			engine(d, func(e *engineSec) { e.evs[0].at = e.now - 1 })

@@ -478,7 +478,7 @@ func (p *Proc) wsigInsert(line uint64) {
 func (p *Proc) loadWord(line uint64) (mem.Word, sim.Cycle) {
 	st := p.m.St
 	st.MemOps[p.id]++
-	cfg := p.m.Cfg
+	cfg := &p.m.Cfg
 	if p.l1.Lookup(line) != nil {
 		st.L1Hits++
 		l2 := p.l2.Peek(line) // inclusion: must be present
@@ -541,7 +541,7 @@ func (p *Proc) rmw(line uint64, val uint64) (mem.Word, sim.Cycle) {
 func (p *Proc) storeWord(line uint64, w mem.Word) (mem.Word, sim.Cycle) {
 	st := p.m.St
 	st.MemOps[p.id]++
-	cfg := p.m.Cfg
+	cfg := &p.m.Cfg
 	lat := cfg.L1Hit + cfg.L2Hit // write-through L1: every store reaches L2
 	var old mem.Word
 

@@ -199,10 +199,11 @@ func (m *Machine) Snapshot(s *MachineSnapshot) error {
 // any number of machines (Fork). When the machine's previous restore
 // came from this same snapshot and generation, the flat mem/log/
 // directory arrays take the copy-on-write delta path: only the pages
-// the trial dirtied since that restore are copied back. Everything
-// fixed-size per machine (engine queue, caches, Dep registers, stats,
-// DRAM, streams) is always copied in full — its cost does not grow
-// with the warm footprint.
+// the trial dirtied since that restore are copied back. Each cache
+// clears the ways it occupies and fills the ways the snapshot lists,
+// so its cost follows the live and the captured occupancy, not the
+// cache's capacity. Everything else fixed-size per machine (engine
+// queue, Dep registers, stats, DRAM, streams) is copied in full.
 func (m *Machine) Restore(s *MachineSnapshot) error {
 	if !s.valid {
 		return fmt.Errorf("machine: restore from an empty snapshot")

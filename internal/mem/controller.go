@@ -75,8 +75,8 @@ func (c *Controller) LogRegisters(pid int) sim.Cycle {
 // the paper's recovery latency (§5, following ReVive).
 func (c *Controller) Restore(target map[int]uint64) (uint64, sim.Cycle) {
 	done := c.eng.Now()
-	n := c.log.Rollback(target, func(line uint64, old Word) {
-		c.mem.Write(line, old)
+	n := c.log.Rollback(target, func(id int32, line uint64, old Word) {
+		c.mem.WriteID(id, old)
 		c.st.MemWrites++
 		// Log read + memory write per restored entry.
 		if d := c.dram.Occupy(line, 2); d > done {

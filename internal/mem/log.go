@@ -1,9 +1,7 @@
 package mem
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/cow"
 	"repro/internal/sim"
@@ -91,9 +89,10 @@ type Log struct {
 	pidDirty []bool
 	lkDirty  cow.Dirty
 
-	// undo is Rollback's scratch list of undone entries, reused across
-	// rollbacks.
+	// undo and runs are Rollback's scratch: the undone entries, one
+	// run per processor, reused across rollbacks.
 	undo []Entry
+	runs []undoRun
 }
 
 // NewLog returns a log banked banks ways with its own line table.
@@ -207,21 +206,23 @@ func (l *Log) Stub(at sim.Cycle) {
 
 // Rollback undoes, in reverse global (Seq) order, every entry whose
 // processor is in target and whose epoch is >= target[pid], invoking
-// restore for each and removing the entries from the log. It returns
-// the number of entries restored.
+// restore for each with the line's interned ID and removing the
+// entries from the log. It returns the number of entries restored.
 //
 // Restoring in reverse order across all processors in the set is what
 // makes interleaved writes by multiple rolled-back processors unwind
 // correctly: a WW dependence puts both writers in the rollback set
 // (§3.3.5), and the older value must be restored last.
-func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word)) uint64 {
-	// Collect the undone entries of every target processor, compacting
+func (l *Log) Rollback(target map[int]uint64, restore func(id int32, line uint64, old Word)) uint64 {
+	// Move the undone entries of every target processor into undo, one
+	// run per processor (ascending in Seq, as its list is), compacting
 	// each per-processor list in place.
-	l.undo = l.undo[:0]
+	l.undo, l.runs = l.undo[:0], l.runs[:0]
 	for pid, ep := range target {
 		if pid < 0 || pid >= len(l.perPID) {
 			continue
 		}
+		lo := len(l.undo)
 		keep := l.perPID[pid][:0]
 		for _, e := range l.perPID[pid] {
 			if e.Epoch >= ep {
@@ -234,22 +235,74 @@ func (l *Log) Rollback(target map[int]uint64, restore func(line uint64, old Word
 			l.perPID[pid] = keep
 			l.pidDirty[pid] = true
 			l.rebuildMinEpochFor(pid)
+			l.runs = append(l.runs, undoRun{lo: lo, hi: len(l.undo), top: l.undo[len(l.undo)-1].Seq})
 		}
 	}
-	// Reverse global order across the whole set.
-	slices.SortFunc(l.undo, func(a, b Entry) int { return cmp.Compare(b.Seq, a.Seq) })
-	for _, e := range l.undo {
-		restore(e.Line, e.Old)
-		// Invalidate the first-writeback key so a re-executed interval
-		// logs afresh.
-		id := l.tab.ID(e.Line)
-		if k := l.keyAt(id); k.pid == int32(e.PID) && k.epoch == e.Epoch {
-			k.pid = -1
-			l.lkDirty.Mark(int(id))
+	// Merge the runs newest-first through a max-heap of runs keyed by
+	// their last entry's Seq. Each round undoes the root run's entries
+	// down to the newest last entry of the others, which is one of the
+	// root's children (at least one entry, so a corrupt decoded log
+	// with repeated Seqs still ends). Seqs are unique, so the order is
+	// total.
+	runs := l.runs
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		siftRuns(runs, i)
+	}
+	for len(runs) > 0 {
+		next := uint64(0)
+		for _, c := range runs[1:min(3, len(runs))] {
+			next = max(next, c.top)
 		}
+		run := &runs[0]
+		for {
+			run.hi--
+			e := &l.undo[run.hi]
+			id := l.tab.ID(e.Line)
+			restore(id, e.Line, e.Old)
+			// Invalidate the first-writeback key so a re-executed
+			// interval logs afresh.
+			if k := l.keyAt(id); k.pid == int32(e.PID) && k.epoch == e.Epoch {
+				k.pid = -1
+				l.lkDirty.Mark(int(id))
+			}
+			if run.hi == run.lo {
+				runs[0] = runs[len(runs)-1]
+				runs = runs[:len(runs)-1]
+				break
+			}
+			if run.top = l.undo[run.hi-1].Seq; run.top <= next {
+				break
+			}
+		}
+		siftRuns(runs, 0)
 	}
 	l.total -= len(l.undo)
 	return uint64(len(l.undo))
+}
+
+// siftRuns restores the max-heap order of runs (by top) below i.
+func siftRuns(runs []undoRun, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(runs) {
+			return
+		}
+		if c+1 < len(runs) && runs[c+1].top > runs[c].top {
+			c++
+		}
+		if runs[c].top <= runs[i].top {
+			return
+		}
+		runs[i], runs[c] = runs[c], runs[i]
+		i = c
+	}
+}
+
+// undoRun is one processor's undone entries, undo[lo:hi), during a
+// Rollback merge; top is the Seq of its last entry.
+type undoRun struct {
+	lo, hi int
+	top    uint64
 }
 
 // Truncate discards entries older than the given per-processor safe

@@ -338,7 +338,7 @@ func TestRollbackMatchesSortedOrder(t *testing.T) {
 			before := l.Len()
 
 			var got []undone
-			n := l.Rollback(target, func(line uint64, old Word) { got = append(got, undone{line, old}) })
+			n := l.Rollback(target, func(_ int32, line uint64, old Word) { got = append(got, undone{line, old}) })
 			if int(n) != len(want) || len(got) != len(want) || l.Len() != before-len(want) {
 				t.Fatalf("seed %d step %d: restored %d (%d calls), want %d; log %d -> %d",
 					seed, step, n, len(got), len(want), before, l.Len())

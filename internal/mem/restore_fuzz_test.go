@@ -44,7 +44,7 @@ func (s *restoreSys) apply(op []byte, limit int) {
 	case 3:
 		s.log.Truncate(map[int]uint64{pid: epoch})
 	case 4:
-		s.log.Rollback(map[int]uint64{pid: epoch}, func(line uint64, old Word) { s.mem.Write(line, old) })
+		s.log.Rollback(map[int]uint64{pid: epoch}, func(id int32, _ uint64, old Word) { s.mem.WriteID(id, old) })
 	case 5:
 		s.log.Stub(sim.Cycle(arg))
 	}

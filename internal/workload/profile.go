@@ -120,6 +120,17 @@ type Stream struct {
 	burst       int
 	scaledBurst int
 
+	// The rest of the per-op constants, derived at NewStream too: the
+	// core's cluster, the clamped region, lock-pool, critical-section
+	// and cold-region sizes, and each profile fraction as the threshold
+	// chance compares a draw against.
+	cluster                                int
+	privateLines, sharedLines, globalLines int
+	nlocks, csLen                          int
+	coldLines                              uint64
+	pShared, pGlobal, pLock, pGlobalLock   uint64
+	pCold, pWrite, pGlobalWrite            uint64
+
 	rng sim.RNG
 
 	// instrs counts instructions emitted (compute weight included).
@@ -148,15 +159,63 @@ func NewStream(p *Profile, core, nprocs int, seed uint64) *Stream {
 		scale = 1 + p.Imbalance*float64(core)/float64(nprocs-1)
 	}
 	scaled := int(float64(b)*scale + 0.5)
+	gwf := p.GlobalWriteFrac
+	if gwf == 0 {
+		gwf = p.WriteFrac / 5
+	}
+	csLen := p.CSLen
+	if csLen < 1 {
+		csLen = 2
+	}
+	coldLines := p.ColdLines
+	if coldLines <= 0 {
+		coldLines = 1 << 18
+	}
 	return &Stream{
-		prof:        p,
-		core:        core,
-		nprocs:      nprocs,
-		burst:       b,
-		scaledBurst: scaled,
-		rng:         *sim.NewRNG(seed ^ (uint64(core)+1)*0x9e3779b97f4a7c15),
+		prof:         p,
+		core:         core,
+		nprocs:       nprocs,
+		burst:        b,
+		scaledBurst:  scaled,
+		cluster:      p.clusterOf(core, nprocs),
+		privateLines: max(p.PrivateLines, 1),
+		sharedLines:  max(p.SharedLines, 1),
+		globalLines:  max(p.GlobalLines, 1),
+		nlocks:       max(p.NLocks, 1),
+		csLen:        csLen,
+		coldLines:    uint64(coldLines),
+		pShared:      threshold(p.SharedFrac),
+		pGlobal:      threshold(p.GlobalFrac),
+		pLock:        threshold(p.LockRate),
+		pGlobalLock:  threshold(p.GlobalLockFrac),
+		pCold:        threshold(p.ColdFrac),
+		pWrite:       threshold(p.WriteFrac),
+		pGlobalWrite: threshold(gwf),
+		rng:          *sim.NewRNG(seed ^ (uint64(core)+1)*0x9e3779b97f4a7c15),
 	}
 }
+
+// threshold converts a probability f into the integer t with
+// x < t ⇔ float64(x)/2^53 < f for every 53-bit x, which is
+// t = ⌈f·2^53⌉ clamped to [0, 2^53]: float64(x)/2^53 and f·2^53 are
+// both exact, so the integer test draws and decides exactly as the
+// RNG.Float64() < f comparison it replaces, without the conversion.
+func threshold(f float64) uint64 {
+	switch {
+	case !(f > 0): // also NaN, which no draw is below
+		return 0
+	case f >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(f * (1 << 53)))
+}
+
+// csStore is the threshold of a critical-section op being a store.
+var csStore = threshold(0.6)
+
+// chance draws from the RNG and reports whether the draw falls below
+// the threshold t, with the same RNG consumption as Float64.
+func (s *Stream) chance(t uint64) bool { return s.rng.Next()>>11 < t }
 
 // State is an opaque snapshot of a stream (its full value).
 type State struct{ s Stream }
@@ -250,26 +309,13 @@ func (s *Stream) skewIndex(n int) int {
 // pickAddr chooses a target line for a memory op and reports whether it
 // falls in the chip-global region.
 func (s *Stream) pickAddr() (addr uint64, global bool) {
-	p := s.prof
-	if p.SharedFrac > 0 && s.rng.Float64() < p.SharedFrac {
-		if p.GlobalFrac > 0 && s.rng.Float64() < p.GlobalFrac {
-			n := p.GlobalLines
-			if n < 1 {
-				n = 1
-			}
-			return GlobalLine(s.rng.Intn(n)), true
+	if s.pShared > 0 && s.chance(s.pShared) {
+		if s.pGlobal > 0 && s.chance(s.pGlobal) {
+			return GlobalLine(s.rng.Intn(s.globalLines)), true
 		}
-		n := p.SharedLines
-		if n < 1 {
-			n = 1
-		}
-		return ClusterLine(p.clusterOf(s.core, s.nprocs), s.skewIndex(n)), false
+		return ClusterLine(s.cluster, s.skewIndex(s.sharedLines)), false
 	}
-	n := p.PrivateLines
-	if n < 1 {
-		n = 1
-	}
-	return PrivateLine(s.core, s.rng.Intn(n)), false
+	return PrivateLine(s.core, s.rng.Intn(s.privateLines)), false
 }
 
 func (s *Stream) account(op Op) Op {
@@ -293,13 +339,9 @@ func (s *Stream) Next() Op {
 		// Critical sections touch shared data (that is their point) —
 		// under a popularity skew the hot keys are exactly what the
 		// bucket locks protect.
-		n := p.SharedLines
-		if n < 1 {
-			n = 1
-		}
-		addr := ClusterLine(p.clusterOf(s.core, s.nprocs), s.skewIndex(n))
+		addr := ClusterLine(s.cluster, s.skewIndex(s.sharedLines))
 		k := Load
-		if s.rng.Float64() < 0.6 {
+		if s.chance(csStore) {
 			k = Store
 		}
 		return s.account(Op{Kind: k, Arg: addr})
@@ -333,47 +375,31 @@ func (s *Stream) Next() Op {
 	s.pendingMem = false
 
 	// Enter a critical section?
-	if p.LockRate > 0 && s.rng.Float64() < p.LockRate {
-		nl := p.NLocks
-		if nl < 1 {
-			nl = 1
-		}
-		if p.GlobalLockFrac > 0 && s.rng.Float64() < p.GlobalLockFrac {
+	if s.pLock > 0 && s.chance(s.pLock) {
+		if s.pGlobalLock > 0 && s.chance(s.pGlobalLock) {
 			// Chip-global lock ids live below the per-cluster spaces.
-			s.csLock = uint64(s.rng.Intn(nl))
+			s.csLock = uint64(s.rng.Intn(s.nlocks))
 		} else {
-			cluster := p.clusterOf(s.core, s.nprocs)
-			s.csLock = uint64(cluster+1)<<16 + uint64(s.rng.Intn(nl))
+			s.csLock = uint64(s.cluster+1)<<16 + uint64(s.rng.Intn(s.nlocks))
 		}
-		cs := p.CSLen
-		if cs < 1 {
-			cs = 2
-		}
-		s.csRemaining = cs + 1 // body ops + the unlock
+		s.csRemaining = s.csLen + 1 // body ops + the unlock
 		return s.account(Op{Kind: Lock, Arg: s.csLock})
 	}
 
 	// Cold streaming read?
-	if p.ColdFrac > 0 && s.rng.Float64() < p.ColdFrac {
-		n := p.ColdLines
-		if n <= 0 {
-			n = 1 << 18
-		}
+	if s.pCold > 0 && s.chance(s.pCold) {
 		s.coldCursor++
-		return s.account(Op{Kind: Load, Arg: ColdLine(s.core, s.coldCursor%uint64(n))})
+		return s.account(Op{Kind: Load, Arg: ColdLine(s.core, s.coldCursor%s.coldLines)})
 	}
 
 	// Plain memory op.
 	addr, global := s.pickAddr()
-	wf := p.WriteFrac
+	t := s.pWrite
 	if global {
-		wf = p.GlobalWriteFrac
-		if wf == 0 {
-			wf = p.WriteFrac / 5
-		}
+		t = s.pGlobalWrite
 	}
 	k := Load
-	if s.rng.Float64() < wf {
+	if s.chance(t) {
 		k = Store
 	}
 	return s.account(Op{Kind: k, Arg: addr})

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -197,6 +198,48 @@ func TestQuickOpsWellFormed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestThresholdMatchesFloat64 pins the integer chance test to the
+// float comparison it replaced: for every fraction a registered
+// profile draws against (and the critical-section store fraction and
+// some edge values), a 53-bit draw x falls below threshold(f) exactly
+// when RNG.Float64's value for it, float64(x)/2^53, is below f. The
+// draws checked are the ones at the boundary, t-2 to t+1.
+func TestThresholdMatchesFloat64(t *testing.T) {
+	fracs := []float64{0, 1, 0.5, 0.6, 1e-300, 0x1p-53, 0x1p-54, 1 - 0x1p-53, 1.5, -0.25, math.NaN()}
+	for _, p := range All() {
+		s := NewStream(p, 0, 16, 1)
+		gwf := p.GlobalWriteFrac
+		if gwf == 0 {
+			gwf = p.WriteFrac / 5
+		}
+		for _, c := range []struct {
+			f float64
+			t uint64
+		}{
+			{p.SharedFrac, s.pShared}, {p.GlobalFrac, s.pGlobal}, {p.LockRate, s.pLock},
+			{p.GlobalLockFrac, s.pGlobalLock}, {p.ColdFrac, s.pCold}, {p.WriteFrac, s.pWrite},
+			{gwf, s.pGlobalWrite},
+		} {
+			if c.t != threshold(c.f) {
+				t.Fatalf("%s: stream threshold %d for %v, want %d", p.Name, c.t, c.f, threshold(c.f))
+			}
+			fracs = append(fracs, c.f)
+		}
+	}
+	for _, f := range fracs {
+		th := threshold(f)
+		for d := -2; d <= 1; d++ {
+			x := int64(th) + int64(d)
+			if x < 0 || x >= 1<<53 {
+				continue
+			}
+			if got, want := uint64(x) < th, float64(x)/(1<<53) < f; got != want {
+				t.Fatalf("f=%v: draw %d below threshold %d is %v, below f is %v", f, x, th, got, want)
+			}
+		}
 	}
 }
 
